@@ -17,25 +17,53 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import core, expansion, pq
-from .errors import ConvergenceError, DomainError
+from .core import DEFAULT_TOL
+from .errors import ConvergenceError, DomainError, _check_mu, _check_tol
 from .partfrac import a_coeffs
 
 DEFAULT_MASS = 139.57
-DEFAULT_TOL = 1e-12
 
 GRID_HEADER = ("quantity", "k_mev", "T_mev", "mu", "r", "value", "error_bound", "method")
 PQ_HEADER = ("quantity", "k_mev", "T_mev", "p", "q", "r", "value", "error_bound", "method")
 COEFF_HEADER = ("l", "a_l")
 TAYLOR_HEADER = ("s", "partial_sum", "term_magnitude")
 
-FIGURE_MUS = {
-    "fig1": (0.0, 0.1, 0.2),
-    "fig2": (0.1, 0.2),
-    "fig3": (0.1, 0.2),
-    "fig4": (0.1, 0.2),
+
+class _Preset(NamedTuple):
+    """One figure curve: what each point evaluates and the k -> infinity row."""
+
+    quantity: str
+    r: int
+    mus: tuple[float, ...]
+    #: (mu, alpha, tol, method) -> CorrelationResult
+    evaluate: Callable[[float, float, float, str], core.CorrelationResult]
+    #: mu -> asymptotic value closing each curve, or None for no asymptote row
+    asymptote: Callable[[float], float] | None
+
+
+# The lambdas look the core functions up at call time, so wrappers
+# installed on the core module (mocks, profiling spans) see every call.
+_PRESETS = {
+    "fig1": _Preset(
+        "distribution", 1, (0.0, 0.1, 0.2),
+        lambda mu, alpha, tol, method: core.mean_occupation(mu, alpha, tol), None),
+    "fig2": _Preset(
+        "lambda2", 2, (0.1, 0.2),
+        lambda mu, alpha, tol, method: core.intercept(mu, alpha, 2, tol, method),
+        lambda mu: core.intercept_asymptotic(mu, 2)),
+    "fig3": _Preset(
+        "lambda3", 3, (0.1, 0.2),
+        lambda mu, alpha, tol, method: core.intercept(mu, alpha, 3, tol, method),
+        lambda mu: core.intercept_asymptotic(mu, 3)),
+    "fig4": _Preset(
+        "r3", 3, (0.1, 0.2),
+        lambda mu, alpha, tol, method: core.r3_function(mu, alpha, tol, method),
+        lambda mu: core.r3_asymptotic(mu)),
 }
+FIGURE_MUS = {name: preset.mus for name, preset in _PRESETS.items()}
 FIGURE_TEMPS = (120.0, 180.0)
 
 
@@ -60,21 +88,19 @@ class GridSpec:
             raise DomainError(f"k_steps must be an integer >= 2, got {self.k_steps}")
         if not self.temperatures or any(t <= 0.0 for t in self.temperatures):
             raise DomainError(f"temperatures must be positive, got {self.temperatures}")
-        if any(m < 0.0 for m in self.mus):
-            raise DomainError(f"deformation parameters must be >= 0, got {self.mus}")
+        for mu in self.mus:
+            _check_mu(mu)
         if self.mass <= 0.0:
             raise DomainError(f"mass must be positive, got {self.mass}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        _check_tol(self.tol)
 
     def momenta(self) -> list[float]:
         step = (self.k_max - self.k_min) / (self.k_steps - 1)
         return [self.k_min + i * step for i in range(self.k_steps)]
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One rendered grid point."""
+class OutputRecord(NamedTuple):
+    """One rendered grid point, a row of GRID_HEADER."""
 
     quantity: str
     k_mev: float
@@ -90,14 +116,31 @@ def _alpha(T: float, k: float, mass: float) -> float:
     return core.ThermoPoint(T, k, mass).alpha
 
 
-def _flag(method: str, error_bound: float, tol: float) -> str:
-    if method in (core.CLOSED_FORM, core.ORACLE) and error_bound > tol:
-        return method + "+overtol"
-    return method
+def _record(key: tuple, res: core.CorrelationResult, tol: float) -> OutputRecord:
+    """Row (*key, value, error_bound, method) for one result.
+
+    ``key`` is (quantity, k, T, mu, r).  A closed-form or oracle value
+    whose bound exceeds ``tol`` gets the method suffix ``+overtol``.
+    """
+    method = res.method
+    if method in (core.CLOSED_FORM, core.ORACLE) and res.error_bound > tol:
+        method += "+overtol"
+    return OutputRecord(*key, res.value, res.error_bound, method)
 
 
-def _failed(quantity: str, k: float, T: float, mu: float, r: int) -> OutputRecord:
-    return OutputRecord(quantity, k, T, mu, r, math.nan, math.nan, "failed")
+def _point_records(key: tuple, res: core.CorrelationResult, tol: float,
+                   oracle: core.CorrelationResult | None) -> list[OutputRecord]:
+    """The row of ``res``; with an oracle result, also its row and the difference row."""
+    records = [_record(key, res, tol)]
+    if oracle is not None:
+        records.append(_record(key, oracle, tol))
+        records.append(OutputRecord(*key, res.value - oracle.value,
+                                    res.error_bound + oracle.error_bound, "difference"))
+    return records
+
+
+def _asymptote(T: float, mu: float, r: int, value: float) -> OutputRecord:
+    return OutputRecord("asymptote", math.inf, T, mu, r, value, 0.0, core.ASYMPTOTIC)
 
 
 def _intercept_quantity(r: int) -> str:
@@ -119,8 +162,9 @@ def _require_admissible(mu: float, r: int, allow_oracle: bool) -> None:
 def figure_records(preset: str, grid: GridSpec,
                    allow_oracle: bool = False) -> tuple[list[OutputRecord], int]:
     """Rows behind one figure preset; returns (records, number_of_failures)."""
-    if preset not in FIGURE_MUS:
+    if preset not in _PRESETS:
         raise DomainError(f"unknown figure preset {preset!r}")
+    spec = _PRESETS[preset]
     records: list[OutputRecord] = []
     failed = 0
     method = "oracle" if allow_oracle else "auto"
@@ -128,49 +172,18 @@ def figure_records(preset: str, grid: GridSpec,
         for mu in grid.mus:
             for k in grid.momenta():
                 alpha = _alpha(T, k, grid.mass)
+                key = (spec.quantity, k, T, mu, spec.r)
                 try:
-                    if preset == "fig1":
-                        res = core.mean_occupation(mu, alpha, grid.tol)
-                        rec = OutputRecord(
-                            "distribution", k, T, mu, 1, res.value,
-                            res.error_bound, _flag(res.method, res.error_bound, grid.tol),
-                        )
-                    elif preset in ("fig2", "fig3"):
-                        r = 2 if preset == "fig2" else 3
-                        res = core.intercept(mu, alpha, r, grid.tol, method)
-                        rec = OutputRecord(
-                            _intercept_quantity(r), k, T, mu, r, res.value,
-                            res.error_bound, _flag(res.method, res.error_bound, grid.tol),
-                        )
-                    else:
-                        res = core.r3_function(mu, alpha, grid.tol, method)
-                        rec = OutputRecord(
-                            "r3", k, T, mu, 3, res.value,
-                            res.error_bound, _flag(res.method, res.error_bound, grid.tol),
-                        )
+                    res = spec.evaluate(mu, alpha, grid.tol, method)
                 except (DomainError, ConvergenceError) as exc:
-                    r = {"fig1": 1, "fig2": 2, "fig3": 3, "fig4": 3}[preset]
-                    q = {"fig1": "distribution", "fig2": "lambda2",
-                         "fig3": "lambda3", "fig4": "r3"}[preset]
                     print(f"record (T={T:g}, mu={mu:g}, k={k:g}) failed: {exc}",
                           file=sys.stderr)
-                    rec = _failed(q, k, T, mu, r)
+                    records.append(OutputRecord(*key, math.nan, math.nan, "failed"))
                     failed += 1
-                records.append(rec)
-            if preset == "fig1":
-                continue
-            if preset == "fig2":
-                value = core.intercept_asymptotic(mu, 2)
-                records.append(OutputRecord("asymptote", math.inf, T, mu, 2,
-                                            value, 0.0, core.ASYMPTOTIC))
-            elif preset == "fig3":
-                value = core.intercept_asymptotic(mu, 3)
-                records.append(OutputRecord("asymptote", math.inf, T, mu, 3,
-                                            value, 0.0, core.ASYMPTOTIC))
-            else:
-                value = core.r3_asymptotic(mu)
-                records.append(OutputRecord("asymptote", math.inf, T, mu, 3,
-                                            value, 0.0, core.ASYMPTOTIC))
+                    continue
+                records.append(_record(key, res, grid.tol))
+            if spec.asymptote is not None:
+                records.append(_asymptote(T, mu, spec.r, spec.asymptote(mu)))
     return records, failed
 
 
@@ -180,21 +193,10 @@ def intercept_records(mu: float, T: float, k: float, mass: float, r: int,
     """Single-point intercept, optionally with the oracle cross-check rows."""
     _require_admissible(mu, r, force_oracle)
     alpha = _alpha(T, k, mass)
-    quantity = _intercept_quantity(r)
     method = "oracle" if force_oracle else "auto"
     res = core.intercept(mu, alpha, r, tol, method)
-    records = [OutputRecord(quantity, k, T, mu, r, res.value, res.error_bound,
-                            _flag(res.method, res.error_bound, tol))]
-    if with_oracle:
-        other = core.intercept(mu, alpha, r, tol, "oracle")
-        records.append(OutputRecord(quantity, k, T, mu, r, other.value,
-                                    other.error_bound,
-                                    _flag(other.method, other.error_bound, tol)))
-        records.append(OutputRecord(quantity, k, T, mu, r,
-                                    res.value - other.value,
-                                    res.error_bound + other.error_bound,
-                                    "difference"))
-    return records
+    other = core.intercept(mu, alpha, r, tol, "oracle") if with_oracle else None
+    return _point_records((_intercept_quantity(r), k, T, mu, r), res, tol, other)
 
 
 def distribution_records(mu: float, T: float, k: float, mass: float,
@@ -202,18 +204,8 @@ def distribution_records(mu: float, T: float, k: float, mass: float,
     """Mean occupation at one point, optionally with the oracle rows."""
     alpha = _alpha(T, k, mass)
     res = core.mean_occupation(mu, alpha, tol)
-    records = [OutputRecord("distribution", k, T, mu, 1, res.value,
-                            res.error_bound, _flag(res.method, res.error_bound, tol))]
-    if with_oracle:
-        other = core.oracle_moment(mu, alpha, 1, tol)
-        records.append(OutputRecord("distribution", k, T, mu, 1, other.value,
-                                    other.error_bound,
-                                    _flag(other.method, other.error_bound, tol)))
-        records.append(OutputRecord("distribution", k, T, mu, 1,
-                                    res.value - other.value,
-                                    res.error_bound + other.error_bound,
-                                    "difference"))
-    return records
+    other = core.oracle_moment(mu, alpha, 1, tol) if with_oracle else None
+    return _point_records(("distribution", k, T, mu, 1), res, tol, other)
 
 
 def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
@@ -223,12 +215,8 @@ def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
     alpha = _alpha(T, k, mass)
     method = "oracle" if force_oracle else "auto"
     res = core.r3_function(mu, alpha, tol, method)
-    return [
-        OutputRecord("r3", k, T, mu, 3, res.value, res.error_bound,
-                     _flag(res.method, res.error_bound, tol)),
-        OutputRecord("asymptote", math.inf, T, mu, 3, core.r3_asymptotic(mu),
-                     0.0, core.ASYMPTOTIC),
-    ]
+    return [_record(("r3", k, T, mu, 3), res, tol),
+            _asymptote(T, mu, 3, core.r3_asymptotic(mu))]
 
 
 def pq_records(p: float, q: float, T: float, k: float, mass: float,
@@ -237,7 +225,7 @@ def pq_records(p: float, q: float, T: float, k: float, mass: float,
     params = pq.PQParams(p, q)
     alpha = _alpha(T, k, mass)
     value = pq.pq_intercept(params, alpha, r)
-    bound = 16.0 * core.sys_eps() * (abs(value) + 1.0)
+    bound = 16.0 * core.DBL_EPS * (abs(value) + 1.0)
     asym = pq.pq_intercept_asymptotic(params, r)
     return [
         ("lambda_pq", k, T, params.p, params.q, r, value, bound, core.CLOSED_FORM),
@@ -291,14 +279,6 @@ def render(rows: list, header: tuple[str, ...], fmt: str) -> str:
     return json.dumps(objs, indent=2) + "\n"
 
 
-def _record_rows(records: list[OutputRecord]) -> list[tuple]:
-    return [
-        (rec.quantity, rec.k_mev, rec.T_mev, rec.mu, rec.r, rec.value,
-         rec.error_bound, rec.method)
-        for rec in records
-    ]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mubose",
@@ -322,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="momentum in MeV")
 
     p_fig = sub.add_parser("figure", help="grid data behind one figure preset")
-    p_fig.add_argument("preset", choices=sorted(FIGURE_MUS))
+    p_fig.add_argument("preset", choices=sorted(_PRESETS))
     p_fig.add_argument("--mu", type=float, action="append", default=None,
                        help="override preset deformation values (repeatable)")
     p_fig.add_argument("--temperature", type=float, action="append", default=None,
@@ -389,6 +369,7 @@ def _emit(text: str, output: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        header, failed = GRID_HEADER, 0
         if args.command == "figure":
             grid = GridSpec(
                 k_min=args.k_min, k_max=args.k_max, k_steps=args.k_steps,
@@ -397,43 +378,29 @@ def main(argv: list[str] | None = None) -> int:
                 mus=tuple(args.mu) if args.mu else FIGURE_MUS[args.preset],
                 mass=args.mass, tol=args.tol,
             )
-            records, failed = figure_records(args.preset, grid, args.oracle)
-            _emit(render(_record_rows(records), GRID_HEADER, args.format),
-                  args.output)
-            return 3 if failed else 0
-        if args.command == "intercept":
-            records = intercept_records(args.mu, args.temperature, args.momentum,
-                                        args.mass, args.order, args.tol,
-                                        args.with_oracle, args.oracle)
-            _emit(render(_record_rows(records), GRID_HEADER, args.format),
-                  args.output)
-            return 0
-        if args.command == "distribution":
-            records = distribution_records(args.mu, args.temperature,
-                                           args.momentum, args.mass, args.tol,
-                                           args.with_oracle)
-            _emit(render(_record_rows(records), GRID_HEADER, args.format),
-                  args.output)
-            return 0
-        if args.command == "r3":
-            records = r3_records(args.mu, args.temperature, args.momentum,
-                                 args.mass, args.tol, args.oracle)
-            _emit(render(_record_rows(records), GRID_HEADER, args.format),
-                  args.output)
-            return 0
-        if args.command == "coeffs":
-            rows = coeff_rows(args.order, args.mu)
-            _emit(render(rows, COEFF_HEADER, args.format), args.output)
-            return 0
-        if args.command == "taylor-diagnose":
-            rows = taylor_rows(args.mu, args.temperature, args.momentum,
-                               args.mass, args.order, args.s_max)
-            _emit(render(rows, TAYLOR_HEADER, args.format), args.output)
-            return 0
-        rows = pq_records(args.p, args.q, args.temperature, args.momentum,
-                          args.mass, args.order)
-        _emit(render(rows, PQ_HEADER, args.format), args.output)
-        return 0
+            rows, failed = figure_records(args.preset, grid, args.oracle)
+        elif args.command == "intercept":
+            rows = intercept_records(args.mu, args.temperature, args.momentum,
+                                     args.mass, args.order, args.tol,
+                                     args.with_oracle, args.oracle)
+        elif args.command == "distribution":
+            rows = distribution_records(args.mu, args.temperature, args.momentum,
+                                        args.mass, args.tol, args.with_oracle)
+        elif args.command == "r3":
+            rows = r3_records(args.mu, args.temperature, args.momentum,
+                              args.mass, args.tol, args.oracle)
+        elif args.command == "coeffs":
+            header, rows = COEFF_HEADER, coeff_rows(args.order, args.mu)
+        elif args.command == "taylor-diagnose":
+            header, rows = TAYLOR_HEADER, taylor_rows(
+                args.mu, args.temperature, args.momentum, args.mass, args.order,
+                args.s_max)
+        else:
+            header, rows = PQ_HEADER, pq_records(
+                args.p, args.q, args.temperature, args.momentum, args.mass,
+                args.order)
+        _emit(render(rows, header, args.format), args.output)
+        return 3 if failed else 0
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1

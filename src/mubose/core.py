@@ -17,15 +17,27 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import (
+    MAX_TERMS,
+    DomainError,
+    PoleError,
+    _check_alpha,
+    _check_mu,
+    _check_order,
+    _check_tol,
+    _converged,
+)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-12
-MAX_TERMS = 10**8
+
+#: double-precision unit roundoff, used in reported error bounds
+DBL_EPS = sys.float_info.epsilon
 
 #: method tags carried by CorrelationResult
 CLOSED_FORM = "closed_form"
@@ -51,8 +63,7 @@ class DeformationMu:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (self.mu >= 0.0) or not math.isfinite(self.mu):
-            raise DomainError(f"deformation parameter must be >= 0, got {self.mu}")
+        _check_mu(self.mu)
 
 
 @dataclass(frozen=True)
@@ -92,35 +103,18 @@ def _as_mu(d: DeformationMu | float) -> float:
     return DeformationMu(float(d)).mu
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-
-
-def _check_order(r: int, minimum: int = 1) -> None:
-    if not isinstance(r, int) or r < minimum:
-        raise DomainError(f"order must be an integer >= {minimum}, got {r}")
-    if r > 64:
-        raise DomainError(f"order {r} exceeds the supported bound 64")
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-
-
 def mu_bracket(n: float, mu: float) -> float:
     """Structure function phi(n) = n / (1 + mu n)."""
     if not (n >= 0.0) or not math.isfinite(n):
         raise DomainError(f"occupation argument must be >= 0, got {n}")
-    if not (mu >= 0.0) or not math.isfinite(mu):
-        raise DomainError(f"deformation parameter must be >= 0, got {mu}")
+    _check_mu(mu)
     return n / (1.0 + mu * n)
 
 
 def mu_factorial(r: int, mu: float) -> float:
     """Deformed factorial prod_{j=1}^{r} j / (1 + mu j)."""
     _check_order(r)
+    _check_mu(mu)
     out = 1.0
     for j in range(1, r + 1):
         out *= j / (1.0 + mu * j)
@@ -135,12 +129,18 @@ def closed_form_admissible(mu: float, r: int) -> bool:
 
 
 def _closed_condition(mu: float, r: int) -> float:
-    """Cancellation amplification of the closed-form sum, ~mu^(2-2r)."""
+    """Cancellation amplification of the closed-form sum, ~mu^(2-2r).
+
+    A power beyond the double range (mu near 0) is infinitely ill
+    conditioned, so the closed form is never chosen there.
+    """
     if r < 2:
         return 1.0
-    kappa = mu ** (2 - 2 * r) * 2.0 ** (r - 1) / (
-        math.factorial(r - 1) * math.factorial(r)
-    )
+    try:
+        scale = mu ** (2 - 2 * r)
+    except OverflowError:
+        return math.inf
+    kappa = scale * 2.0 ** (r - 1) / (math.factorial(r - 1) * math.factorial(r))
     return max(kappa, 1.0)
 
 
@@ -158,26 +158,13 @@ def _series_pole(mu: float, r: int) -> bool:
 
 
 def _closed_sum(mu: float, alpha: float, r: int, rtol: float) -> tuple[float, float]:
-    value, err, used = kernels.closed_moment_sum(mu, alpha, r, rtol, 0.0, MAX_TERMS)
-    if used >= MAX_TERMS:
-        raise ConvergenceError(
-            f"closed-form moment did not converge (mu={mu}, alpha={alpha}, r={r})"
-        )
-    return value, err
+    return _converged(kernels.closed_moment_sum(mu, alpha, r, rtol, 0.0, MAX_TERMS),
+                      MAX_TERMS, "closed-form moment", mu=mu, alpha=alpha, r=r)
 
 
 def _oracle_sum(mu: float, alpha: float, r: int, rtol: float) -> tuple[float, float]:
-    value, err, used = kernels.oracle_moment_sum(mu, alpha, r, rtol, 0.0, MAX_TERMS)
-    if used >= MAX_TERMS:
-        raise ConvergenceError(
-            f"oracle moment did not converge (mu={mu}, alpha={alpha}, r={r})"
-        )
-    return value, err
-
-
-def sys_eps() -> float:
-    """Double-precision unit roundoff, used in reported error bounds."""
-    return 2.220446049250313e-16
+    return _converged(kernels.oracle_moment_sum(mu, alpha, r, rtol, 0.0, MAX_TERMS),
+                      MAX_TERMS, "oracle moment", mu=mu, alpha=alpha, r=r)
 
 
 def mean_occupation(d: DeformationMu | float, alpha: float,
@@ -193,7 +180,7 @@ def mean_occupation(d: DeformationMu | float, alpha: float,
     _check_tol(tol)
     if mu == 0.0:
         value = 1.0 / math.expm1(alpha)
-        return CorrelationResult(value, 4.0 * sys_eps() * value, CLOSED_FORM)
+        return CorrelationResult(value, 4.0 * DBL_EPS * value, CLOSED_FORM)
     value, err = _closed_sum(mu, alpha, 1, tol)
     return CorrelationResult(value, err, CLOSED_FORM)
 
@@ -214,7 +201,7 @@ def r_moment(d: DeformationMu | float, alpha: float, r: int,
     if mu == 0.0:
         base = 1.0 / math.expm1(alpha)
         value = math.factorial(r) * base**r
-        return CorrelationResult(value, 4.0 * (r + 1) * sys_eps() * value, CLOSED_FORM)
+        return CorrelationResult(value, 4.0 * (r + 1) * DBL_EPS * value, CLOSED_FORM)
     if not closed_form_admissible(mu, r):
         raise DomainError(
             f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
@@ -301,7 +288,7 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
 
     if mean_val <= 0.0 or r * math.log(mean_val) < math.log(UNDERFLOW_FLOOR):
         value = intercept_asymptotic(mu, r)
-        err = (value + 1.0) * (r * r + r) * max(mean_val, 0.0) + 8.0 * sys_eps() * (abs(value) + 1.0)
+        err = (value + 1.0) * (r * r + r) * max(mean_val, 0.0) + 8.0 * DBL_EPS * (abs(value) + 1.0)
         log.info(
             "intercept(mu=%g, alpha=%g, r=%d): occupation underflow, returning asymptotic value",
             mu, alpha, r,
@@ -311,7 +298,7 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
     mom_val, mom_err = summer(mu, alpha, r, part_tol)
     ratio = mom_val / mean_val**r
     value = ratio - 1.0
-    err = ratio * (mom_err / mom_val + r * mean_err / mean_val) + 8.0 * sys_eps() * ratio
+    err = ratio * (mom_err / mom_val + r * mean_err / mean_val) + 8.0 * DBL_EPS * ratio
     return CorrelationResult(value, err, CLOSED_FORM if use_closed else ORACLE)
 
 
@@ -340,7 +327,7 @@ def r3_function(d: DeformationMu | float, alpha: float,
     d2 = -3.0 / (2.0 * lam2.value**1.5) - 3.0 * (lam3.value - 3.0 * lam2.value) / (
         4.0 * lam2.value**2.5
     )
-    err = abs(d3) * lam3.error_bound + abs(d2) * lam2.error_bound + 8.0 * sys_eps() * (
+    err = abs(d3) * lam3.error_bound + abs(d2) * lam2.error_bound + 8.0 * DBL_EPS * (
         abs(value) + 1.0
     )
     return CorrelationResult(value, err, _merge_method(lam2.method, lam3.method))

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import math
+
+#: largest moment or expansion order the kernels accept
+MAX_ORDER = 64
+
+#: term budget of every kernel series sum
+MAX_TERMS = 10**8
 
 
 class DomainError(ValueError):
@@ -11,3 +19,45 @@ class PoleError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """A series could not be driven below the requested tolerance."""
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0.0) or not math.isfinite(alpha):
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+
+
+def _check_order(r: int, minimum: int = 1) -> None:
+    if not isinstance(r, int) or r < minimum:
+        raise DomainError(f"order must be an integer >= {minimum}, got {r}")
+    if r > MAX_ORDER:
+        raise DomainError(f"order {r} exceeds the supported bound {MAX_ORDER}")
+
+
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise DomainError(f"tolerance must be positive, got {tol}")
+
+
+def _check_mu(mu: float) -> None:
+    if not (mu >= 0.0) or not math.isfinite(mu):
+        raise DomainError(f"deformation parameter must be >= 0, got {mu}")
+
+
+def _check_mu_positive(mu: float) -> None:
+    if not (mu > 0.0) or not math.isfinite(mu):
+        raise DomainError(f"deformation parameter must be positive, got {mu}")
+
+
+def _converged(summed: tuple[float, float, int], max_terms: int, what: str,
+               **context: float) -> tuple[float, float]:
+    """(value, error) of a kernel sum (value, error, terms_used).
+
+    A sum that used its whole ``max_terms`` budget stopped on the budget,
+    not on its tolerance, and raises ConvergenceError naming ``what`` and
+    the ``context`` arguments.
+    """
+    value, err, used = summed
+    if used >= max_terms:
+        args = ", ".join(f"{name}={val}" for name, val in context.items())
+        raise ConvergenceError(f"{what} did not converge within {max_terms} terms ({args})")
+    return value, err

@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._backend import kernels
-from .core import DeformationMu
-from .errors import ConvergenceError, DomainError
+from .core import DeformationMu, _as_mu
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    _check_alpha,
+    _check_mu_positive,
+    _check_order,
+)
 from .partfrac import a_coeffs
 from .special import StirlingTable, stirling2
 
@@ -80,11 +86,6 @@ def _check_sl(s: int, l: int) -> None:
         raise DomainError(f"shift l must be an integer >= 0, got {l}")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-
-
 def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     """Closed-form Taylor coefficient c_s(l).
 
@@ -140,13 +141,6 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     return sign * acc
 
 
-def _expansion_mu(d: DeformationMu | float) -> float:
-    mu = d.mu if isinstance(d, DeformationMu) else float(d)
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise DomainError(f"the mu-expansion requires mu > 0, got {mu}")
-    return mu
-
-
 def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
                   order: int) -> float:
     """Order-``order`` truncation of the unnormalized moment sum.
@@ -157,10 +151,10 @@ def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
     The (1 - e^(-alpha)) thermal normalization is deliberately not
     applied here; the exact moments live in :mod:`mubose.core`.
     """
-    mu = _expansion_mu(d)
+    mu = _as_mu(d)
+    _check_mu_positive(mu)
     _check_alpha(alpha)
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"order r must be an integer >= 1, got {r}")
+    _check_order(r)
     if not isinstance(order, int) or order < 0:
         raise DomainError(f"truncation order must be an integer >= 0, got {order}")
     weights = a_coeffs(r, mu).values
@@ -191,10 +185,10 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
     exhibit that turnaround.  Float overflow inside a term is reported
     as a terminal row with infinite magnitude rather than an exception.
     """
-    mu = _expansion_mu(d)
+    mu = _as_mu(d)
+    _check_mu_positive(mu)
     _check_alpha(alpha)
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"order r must be an integer >= 1, got {r}")
+    _check_order(r)
     if not isinstance(s_max, int) or s_max < 0:
         raise DomainError(f"s_max must be an integer >= 0, got {s_max}")
     weights = a_coeffs(r, mu).values

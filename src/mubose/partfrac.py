@@ -20,10 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._backend import kernels
-from .errors import DomainError, PoleError
-
-#: largest expansion order the kernels accept
-MAX_ORDER = 64
+from .errors import MAX_ORDER, DomainError, PoleError, _check_mu_positive, _check_order
 
 #: relative vanishing threshold for denominators 1 + mu(n-l)
 POLE_TOL = 1e-12
@@ -44,18 +41,10 @@ class ACoefficients:
         return self.order
 
 
-def _check_order(r: int) -> None:
-    if not isinstance(r, int) or r < 1:
-        raise DomainError(f"expansion order must be an integer >= 1, got {r}")
-    if r > MAX_ORDER:
-        raise DomainError(f"expansion order {r} exceeds the supported bound {MAX_ORDER}")
-
-
 def a_coeffs(r: int, mu: float) -> ACoefficients:
     """Evaluate the partial-fraction coefficients at a concrete mu > 0."""
     _check_order(r)
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise DomainError(f"deformation parameter must be positive, got {mu}")
+    _check_mu_positive(mu)
     values = kernels.a_coeff_values(r, mu)
     return ACoefficients(order=r, mu=mu, values=tuple(values))
 
@@ -79,8 +68,7 @@ def expansion_residual(r: int, mu: float, n: float) -> float:
     which is exactly the regime a residual probe has to survive.
     """
     _check_order(r)
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise DomainError(f"deformation parameter must be positive, got {mu}")
+    _check_mu_positive(mu)
     if not math.isfinite(n):
         raise DomainError(f"evaluation point must be finite, got {n}")
     for l in range(r):

@@ -14,11 +14,15 @@ import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .core import CorrelationResult, DeformationMu, intercept_asymptotic, mu_factorial
-from .errors import ConvergenceError, DomainError
-
-DEFAULT_TOL = 1e-12
-MAX_TERMS = 10**8
+from .core import (
+    DEFAULT_TOL,
+    CorrelationResult,
+    DeformationMu,
+    _as_mu,
+    intercept_asymptotic,
+    mu_factorial,
+)
+from .errors import MAX_TERMS, DomainError, _check_alpha, _check_order, _check_tol, _converged
 
 #: tolerance of the internal (1+mu)^r identity check
 _GAP_TOL = 1e-12
@@ -43,18 +47,6 @@ class PQParams:
             p, q = self.q, self.p
             object.__setattr__(self, "p", p)
             object.__setattr__(self, "q", q)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-
-
-def _check_order(r: int, minimum: int = 1) -> None:
-    if not isinstance(r, int) or r < minimum:
-        raise DomainError(f"order must be an integer >= {minimum}, got {r}")
-    if r > 64:
-        raise DomainError(f"order {r} exceeds the supported bound 64")
 
 
 def pq_bracket(n: int, pq: PQParams) -> float:
@@ -118,13 +110,9 @@ def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
     """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r z^n."""
     _check_alpha(alpha)
     _check_order(r)
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
-    if used >= MAX_TERMS:
-        raise ConvergenceError(
-            f"p,q oracle did not converge (p={pq.p}, q={pq.q}, alpha={alpha}, r={r})"
-        )
+    _check_tol(tol)
+    value, err = _converged(kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS),
+                            MAX_TERMS, "p,q oracle", p=pq.p, q=pq.q, alpha=alpha, r=r)
     return CorrelationResult(value, err, "oracle")
 
 
@@ -169,9 +157,7 @@ def mu_vs_pq_asymptotic_gap(d: DeformationMu | float, r: int) -> float:
     p,q-gas pattern [r]! - 1; the returned ratio is checked against
     (1+mu)^r before being handed back.
     """
-    mu = d.mu if isinstance(d, DeformationMu) else float(d)
-    if not (mu >= 0.0) or not math.isfinite(mu):
-        raise DomainError(f"deformation parameter must be >= 0, got {mu}")
+    mu = _as_mu(d)
     _check_order(r, minimum=2)
     ratio = (intercept_asymptotic(mu, r) + 1.0) / mu_factorial(r, mu)
     expected = (1.0 + mu) ** r

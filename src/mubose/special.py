@@ -12,9 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ._backend import kernels
-from .errors import ConvergenceError, DomainError
-
-DEFAULT_MAX_TERMS = 10**8
+from .errors import MAX_TERMS, DomainError, _check_tol, _converged
 
 
 @dataclass(frozen=True)
@@ -40,11 +38,10 @@ class LerchQuery:
             raise DomainError(f"lerch argument z must satisfy 0 <= z < 1, got {self.z}")
         if not (self.a > 0.0) or not math.isfinite(self.a):
             raise DomainError(f"lerch shift a must be positive, got {self.a}")
-        if not (self.tol > 0.0):
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
+        _check_tol(self.tol)
 
 
-def lerch_phi_s1(query: LerchQuery, max_terms: int = DEFAULT_MAX_TERMS) -> float:
+def lerch_phi_s1(query: LerchQuery, max_terms: int = MAX_TERMS) -> float:
     """Lerch transcendent Phi(z, 1, a) = sum_{n>=0} z^n / (a + n).
 
     Summed directly; the tail after N terms is bounded by
@@ -56,12 +53,8 @@ def lerch_phi_s1(query: LerchQuery, max_terms: int = DEFAULT_MAX_TERMS) -> float
     ConvergenceError
         If the bound cannot reach the tolerance within ``max_terms``.
     """
-    value, _err, used = kernels.lerch_sum(query.z, query.a, query.tol, max_terms)
-    if used >= max_terms:
-        raise ConvergenceError(
-            f"lerch sum did not reach tol={query.tol} within {max_terms} terms "
-            f"(z={query.z}, a={query.a})"
-        )
+    value, _err = _converged(kernels.lerch_sum(query.z, query.a, query.tol, max_terms),
+                             max_terms, "lerch sum", z=query.z, a=query.a, tol=query.tol)
     return value
 
 

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from mubose import core
 from mubose.cli import (
+    FIGURE_MUS,
     GRID_HEADER,
     GridSpec,
     figure_records,
@@ -101,6 +103,12 @@ class TestIntercept:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0]["method"] == "oracle"
         assert math.isfinite(float(rows[0]["value"]))
+
+    def test_vanishing_mu_falls_to_oracle(self, capsys):
+        assert main(["intercept", "--mu", "1e-300"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert rows[0]["method"] == "oracle"
+        assert float(rows[0]["value"]) == pytest.approx(1.0, abs=1e-11)
 
     def test_pole_cannot_be_unlocked(self, capsys):
         code = main(["intercept", "--mu", "0.5", "--temperature", "120",
@@ -203,6 +211,42 @@ class TestFigure:
         assert all(math.isnan(r.value) and r.method == "failed" for r in point_rows)
         asym = [r for r in records if r.quantity == "asymptote"]
         assert len(asym) == 2 and all(math.isfinite(r.value) for r in asym)
+
+    # preset -> (quantity, r, point evaluation, asymptote or None)
+    PRESET_CALLS = {
+        "fig1": ("distribution", 1,
+                 lambda mu, a, tol, m: core.mean_occupation(mu, a, tol), None),
+        "fig2": ("lambda2", 2, lambda mu, a, tol, m: core.intercept(mu, a, 2, tol, m),
+                 lambda mu: core.intercept_asymptotic(mu, 2)),
+        "fig3": ("lambda3", 3, lambda mu, a, tol, m: core.intercept(mu, a, 3, tol, m),
+                 lambda mu: core.intercept_asymptotic(mu, 3)),
+        "fig4": ("r3", 3, lambda mu, a, tol, m: core.r3_function(mu, a, tol, m),
+                 core.r3_asymptotic),
+    }
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-14])
+    @pytest.mark.parametrize("preset, allow_oracle", [
+        ("fig1", False), ("fig2", False), ("fig3", False), ("fig4", False),
+        ("fig4", True)])
+    def test_rows_match_direct_core_calls(self, preset, allow_oracle, tol):
+        quantity, r, evaluate, asymptote = self.PRESET_CALLS[preset]
+        grid = GridSpec(k_steps=3, temperatures=(120.0,), mus=FIGURE_MUS[preset], tol=tol)
+        method = "oracle" if allow_oracle else "auto"
+        want = []
+        for mu in grid.mus:
+            for k in grid.momenta():
+                alpha = core.ThermoPoint(120.0, k, grid.mass).alpha
+                res = evaluate(mu, alpha, tol, method)
+                tag = res.method
+                if tag in (core.CLOSED_FORM, core.ORACLE) and res.error_bound > tol:
+                    tag += "+overtol"
+                want.append((quantity, k, 120.0, mu, r, res.value, res.error_bound, tag))
+            if asymptote is not None:
+                want.append(("asymptote", math.inf, 120.0, mu, r, asymptote(mu), 0.0,
+                             core.ASYMPTOTIC))
+        records, failed = figure_records(preset, grid, allow_oracle)
+        assert failed == 0
+        assert records == want
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):

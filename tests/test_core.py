@@ -71,6 +71,11 @@ class TestBracket:
         want = (1 / 1.1) * (2 / 1.2) * (3 / 1.3)
         assert mu_factorial(3, 0.1) == pytest.approx(want, rel=1e-14)
 
+    def test_factorial_domain(self):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                mu_factorial(2, bad)
+
 
 class TestMeanOccupation:
     def test_bose_limit(self):
@@ -164,6 +169,13 @@ class TestIntercept:
             res = intercept(1e-6, alpha, r)
             want = math.factorial(r) - 1
             assert res.value == pytest.approx(want, rel=1e-4)
+
+    def test_vanishing_mu_falls_to_oracle(self):
+        # mu^(2-2r) overflows a double; the conditioning estimate is infinite
+        for r in (2, 3, 6):
+            res = intercept(1e-300, 1.0, r)
+            assert res.method == ORACLE
+            assert abs(res.value - (math.factorial(r) - 1)) <= res.error_bound
 
     def test_large_alpha_near_asymptote(self):
         res = intercept(0.1, 25.0, 2)
