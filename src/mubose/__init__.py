@@ -47,6 +47,7 @@ from .pq import (
     pq_factorial,
     pq_intercept,
     pq_intercept_asymptotic,
+    pq_intercept_result,
     pq_moment,
     pq_oracle_moment,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "pq_factorial",
     "pq_intercept",
     "pq_intercept_asymptotic",
+    "pq_intercept_result",
     "pq_moment",
     "pq_oracle_moment",
     "r3_asymptotic",

@@ -86,9 +86,64 @@ def lerch_sum(z: float, a: float, atol: float, max_terms: int):
     return float(acc), float(err), n
 
 
-def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
-                      atol: float, max_terms: int):
-    """Normalised r-th factorial-structure moment via the Lerch route.
+#: first block width in terms; each further block is twice as wide
+_FIRST_WIDTH = 16
+#: most rows x terms one block may hold, which bounds a call's memory: 64 KiB
+#: per long-double array.  Blocks of 2**15 cells were no faster and raised the
+#: peak resident memory of a long one-point sum by about 5 MB.
+_BLOCK_CELLS = 2**12
+
+
+def _sum_rows(rows: int, max_terms: int, block, state: list) -> np.ndarray:
+    """Drive the series sum of every row (alpha point) block by block.
+
+    ``block(active, first, width)`` sums terms ``first .. first+width-1``
+    of the rows ``active`` and returns ``(stop, cols)``: ``stop[i, j]``
+    says whether row ``active[i]`` passes its stopping test after term
+    ``first + j``, and ``cols[k][i, j]`` is the running value of
+    ``state[k]`` there.  Accumulations go through sequential
+    ``np.cumsum``/``np.cumprod`` along the term axis, so every row
+    repeats the rounding of a term-by-term loop exactly; ``np.sum``
+    would sum pairwise and round differently.
+
+    A row retires at its first passing term, or at exactly ``max_terms``
+    terms; ``state`` then holds its values at that term.  The rows still
+    running all have the same number of terms, so the alpha-independent
+    factors of a block are computed once for all of them.  Returns the
+    terms used per row.
+    """
+    terms = np.zeros(rows, dtype=np.int64)
+    active = np.arange(rows)
+    first, width = 0, _FIRST_WIDTH
+    while active.size:
+        w = max(1, min(width, _BLOCK_CELLS // active.size, max_terms - first))
+        stop, cols = block(active, first, w)
+        if first + w >= max_terms:
+            stop[:, -1] = True
+        hit = stop.any(axis=1)
+        at = np.where(hit, stop.argmax(axis=1), w - 1)
+        pick = np.arange(active.size)
+        for values, col in zip(state, cols):
+            values[active] = col[pick, at]
+        terms[active] = first + at + 1
+        active = active[~hit]
+        first += w
+        width *= 2
+    return terms
+
+
+def _running(carry: np.ndarray, steps: np.ndarray, accumulate) -> np.ndarray:
+    """Sequential accumulation of ``steps`` onto ``carry``, per row, without the carry column."""
+    return accumulate(np.concatenate([carry[:, None], steps], axis=1), axis=1)[:, 1:]
+
+
+def _results(value, err, terms) -> list:
+    return list(zip(value.astype(float).tolist(), err.astype(float).tolist(), terms.tolist()))
+
+
+def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
+                       max_terms: int) -> list:
+    """Normalised r-th factorial-structure moment via the Lerch route, per alpha.
 
     Evaluates (1-z) * sum_n z^n * prod_{l<r} phi(n-l) through the
     partial-fraction/Lerch representation, algebraically rearranged so
@@ -101,9 +156,12 @@ def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
     with Atilde_l = mu^(r-1) A_l the rescaled coefficients.  The
     rearrangement is an identity of the printed closed form; without it
     the assembly loses all significance once z^r is below roundoff.
+    S_m and the tail denominators do not depend on alpha and are
+    computed once per block of terms.  Returns one
+    ``(value, error_bound, terms_used)`` per alpha.
     """
     mu_ld = _LD(mu)
-    z = np.exp(-_LD(alpha))
+    z = np.exp(-np.asarray(alphas, dtype=_LD))
     inv_gap = _ONE / (_ONE - z)
     coeffs = _a_tilde(mu_ld, r)
     big_k = _ZERO
@@ -112,78 +170,103 @@ def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
     scale = _ONE
     for _ in range(2 * r - 2):
         scale /= mu_ld
+    atol_ld, rtol_ld = _LD(atol), _LD(rtol)
 
-    acc = _ZERO
-    abs_acc = _ZERO
-    zm = _ONE
+    zm = np.ones_like(z)
     for _ in range(r):
         zm *= z
-    m = r
-    terms = 0
-    while True:
-        s_val = _ZERO
-        s_abs = _ZERO
+    acc = np.zeros_like(z)
+    abs_acc = np.zeros_like(z)
+    tail = np.zeros_like(z)
+
+    def block(active, first, width):
+        m = np.arange(r + first, r + first + width).astype(_LD)
+        s_val = np.zeros(width, dtype=_LD)
+        s_abs = np.zeros(width, dtype=_LD)
         for l in range(r):
             t = coeffs[l] / ((_ONE + mu_ld * (m - l)) * (_ONE + mu_ld * (m - l - 1)))
             s_val += t
             s_abs += abs(t)
-        acc += zm * s_val
-        abs_acc += zm * s_abs
-        zm *= z
-        tail = big_k * zm / ((_ONE + mu_ld * (m + 2 - r)) * (_ONE + mu_ld * (m + 1 - r))) * inv_gap
-        m += 1
-        terms += 1
-        if tail * scale <= max(_LD(atol), _LD(rtol) * abs(acc) * scale) or terms >= max_terms:
-            break
+        den = (_ONE + mu_ld * (m + 2 - r)) * (_ONE + mu_ld * (m + 1 - r))
+        za = z[active, None]
+        zms = _running(zm[active], np.repeat(za, width, axis=1), np.cumprod)
+        zm_before = np.concatenate([zm[active, None], zms[:, :-1]], axis=1)
+        accs = _running(acc[active], zm_before * s_val, np.cumsum)
+        abs_accs = _running(abs_acc[active], zm_before * s_abs, np.cumsum)
+        tails = big_k * zms / den * inv_gap[active, None]
+        stop = tails * scale <= np.fmax(atol_ld, rtol_ld * abs(accs) * scale)
+        return stop, (zms, accs, abs_accs, tails)
+
+    terms = _sum_rows(z.size, max_terms, block, [zm, acc, abs_acc, tail])
     value = -acc * scale
     err = (tail + _EPS_LD * (2 * r + 6) * abs_acc) * scale + _DBL_EPS * abs(value)
-    return float(value), float(err), terms
+    return _results(value, err, terms)
 
 
-def oracle_moment_sum(mu: float, alpha: float, r: int, rtol: float,
+def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
                       atol: float, max_terms: int):
-    """Brute-force moment (1-z) * sum_{n>=r} z^n * prod_{l<r} phi(n-l).
+    """:func:`closed_moment_sums` at one alpha: ``(value, error_bound, terms_used)``."""
+    return closed_moment_sums(mu, (alpha,), r, rtol, atol, max_terms)[0]
+
+
+def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
+                       max_terms: int) -> list:
+    """Brute-force moment (1-z) * sum_{n>=r} z^n * prod_{l<r} phi(n-l), per alpha.
 
     Independent of the partial-fraction machinery: each term is a direct
     product of structure functions.  Terms with n < r vanish identically
     (one factor is phi(0) = 0) and are skipped.  The tail is bounded by
-    n^r z^n handled geometrically.
+    n^r z^n handled geometrically: the next term is bounded by
+    (n+1)^r z^(n+1) and the term ratio by rho = ((n+2)/(n+1))^r z.  The
+    products, ((n+2)/(n+1))^r and (n+1)^r do not depend on alpha and are
+    computed once per block of terms.  Returns one
+    ``(value, error_bound, terms_used)`` per alpha.
     """
     mu_ld = _LD(mu)
-    z = np.exp(-_LD(alpha))
+    z = np.exp(-np.asarray(alphas, dtype=_LD))
     gap = _ONE - z
-    acc = _ZERO
-    zn = _ONE
+    atol_ld, rtol_ld = _LD(atol), _LD(rtol)
+
+    zn = np.ones_like(z)
     for _ in range(r):
         zn *= z
-    n = r
-    terms = 0
-    while True:
-        prod = _ONE
+    acc = np.zeros_like(z)
+    tail = np.zeros_like(z)
+
+    def block(active, first, width):
+        n = np.arange(r + first, r + first + width).astype(_LD)
+        prod = np.ones(width, dtype=_LD)
         for l in range(r):
-            x = _LD(n - l)
+            x = n - l
             prod *= x / (_ONE + mu_ld * x)
-        acc += prod * zn
-        zn *= z
-        # next term bounded by (n+1)^r z^(n+1); term ratio below rho
-        rho = _ONE
+        ratio = np.ones(width, dtype=_LD)
+        bound = np.ones(width, dtype=_LD)
         for _ in range(r):
-            rho *= _LD(n + 2) / _LD(n + 1)
-        rho *= z
-        if rho < _ONE:
-            bound = _ONE
-            for _ in range(r):
-                bound *= _LD(n + 1)
-            tail = bound * zn / (_ONE - rho)
-        else:
-            tail = _LD(np.inf)
-        n += 1
-        terms += 1
-        if gap * tail <= max(_LD(atol), _LD(rtol) * gap * acc) or terms >= max_terms:
-            break
+            ratio *= (n + 2) / (n + 1)
+            bound *= n + 1
+        za = z[active, None]
+        zns = _running(zn[active], np.repeat(za, width, axis=1), np.cumprod)
+        zn_before = np.concatenate([zn[active, None], zns[:, :-1]], axis=1)
+        accs = _running(acc[active], prod * zn_before, np.cumsum)
+        rho = ratio * za
+        # where rho >= 1 the geometric bound does not apply and the tail is
+        # infinite; the discarded quotient there may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tails = np.where(rho < _ONE, bound * zns / (_ONE - rho), _LD(np.inf))
+        g = gap[active, None]
+        stop = g * tails <= np.fmax(atol_ld, rtol_ld * g * accs)
+        return stop, (zns, accs, tails)
+
+    terms = _sum_rows(z.size, max_terms, block, [zn, acc, tail])
     value = gap * acc
     err = gap * tail + _EPS_LD * (2 * r + 8) * value + _DBL_EPS * value
-    return float(value), float(err), terms
+    return _results(value, err, terms)
+
+
+def oracle_moment_sum(mu: float, alpha: float, r: int, rtol: float,
+                      atol: float, max_terms: int):
+    """:func:`oracle_moment_sums` at one alpha: ``(value, error_bound, terms_used)``."""
+    return oracle_moment_sums(mu, (alpha,), r, rtol, atol, max_terms)[0]
 
 
 def power_sum(s: int, l: int, alpha: float, n_max: int):

@@ -33,13 +33,13 @@ TAYLOR_HEADER = ("s", "partial_sum", "term_magnitude")
 
 
 class _Preset(NamedTuple):
-    """One figure curve: what each point evaluates and the k -> infinity row."""
+    """One figure curve: what its points evaluate and the k -> infinity row."""
 
     quantity: str
     r: int
     mus: tuple[float, ...]
-    #: (mu, alpha, tol, method) -> CorrelationResult
-    evaluate: Callable[[float, float, float, str], core.CorrelationResult]
+    #: (mu, alphas, tol, method) -> one CorrelationResult or failure per alpha
+    evaluate: Callable[[float, list[float], float, str], list]
     #: mu -> asymptotic value closing each curve, or None for no asymptote row
     asymptote: Callable[[float], float] | None
 
@@ -49,18 +49,18 @@ class _Preset(NamedTuple):
 _PRESETS = {
     "fig1": _Preset(
         "distribution", 1, (0.0, 0.1, 0.2),
-        lambda mu, alpha, tol, method: core.mean_occupation(mu, alpha, tol), None),
+        lambda mu, alphas, tol, method: core._curve("mean", mu, alphas, 1, tol), None),
     "fig2": _Preset(
         "lambda2", 2, (0.1, 0.2),
-        lambda mu, alpha, tol, method: core.intercept(mu, alpha, 2, tol, method),
+        lambda mu, alphas, tol, method: core._curve("intercept", mu, alphas, 2, tol, method),
         lambda mu: core.intercept_asymptotic(mu, 2)),
     "fig3": _Preset(
         "lambda3", 3, (0.1, 0.2),
-        lambda mu, alpha, tol, method: core.intercept(mu, alpha, 3, tol, method),
+        lambda mu, alphas, tol, method: core._curve("intercept", mu, alphas, 3, tol, method),
         lambda mu: core.intercept_asymptotic(mu, 3)),
     "fig4": _Preset(
         "r3", 3, (0.1, 0.2),
-        lambda mu, alpha, tol, method: core.r3_function(mu, alpha, tol, method),
+        lambda mu, alphas, tol, method: core._r3_curve(mu, alphas, tol, method),
         lambda mu: core.r3_asymptotic(mu)),
 }
 FIGURE_MUS = {name: preset.mus for name, preset in _PRESETS.items()}
@@ -161,27 +161,31 @@ def _require_admissible(mu: float, r: int, allow_oracle: bool) -> None:
 
 def figure_records(preset: str, grid: GridSpec,
                    allow_oracle: bool = False) -> tuple[list[OutputRecord], int]:
-    """Rows behind one figure preset; returns (records, number_of_failures)."""
+    """Rows behind one figure preset; returns (records, number_of_failures).
+
+    Each (T, mu) curve is evaluated in one call over all its momenta.
+    """
     if preset not in _PRESETS:
         raise DomainError(f"unknown figure preset {preset!r}")
     spec = _PRESETS[preset]
     records: list[OutputRecord] = []
     failed = 0
     method = "oracle" if allow_oracle else "auto"
+    momenta = grid.momenta()
     for T in grid.temperatures:
         for mu in grid.mus:
-            for k in grid.momenta():
-                alpha = _alpha(T, k, grid.mass)
+            # validates T, the mass and the first momentum; the others grow from it
+            core.ThermoPoint(T, momenta[0], grid.mass)
+            alphas = [math.hypot(grid.mass, k) / T for k in momenta]
+            results = spec.evaluate(mu, alphas, grid.tol, method)
+            for k, res in zip(momenta, results):
                 key = (spec.quantity, k, T, mu, spec.r)
-                try:
-                    res = spec.evaluate(mu, alpha, grid.tol, method)
-                except (DomainError, ConvergenceError) as exc:
-                    print(f"record (T={T:g}, mu={mu:g}, k={k:g}) failed: {exc}",
-                          file=sys.stderr)
-                    records.append(OutputRecord(*key, math.nan, math.nan, "failed"))
-                    failed += 1
+                if isinstance(res, core.CorrelationResult):
+                    records.append(_record(key, res, grid.tol))
                     continue
-                records.append(_record(key, res, grid.tol))
+                print(f"record (T={T:g}, mu={mu:g}, k={k:g}) failed: {res}", file=sys.stderr)
+                records.append(OutputRecord(*key, math.nan, math.nan, "failed"))
+                failed += 1
             if spec.asymptote is not None:
                 records.append(_asymptote(T, mu, spec.r, spec.asymptote(mu)))
     return records, failed
@@ -224,11 +228,10 @@ def pq_records(p: float, q: float, T: float, k: float, mass: float,
     """p,q intercept at one point plus its asymptote, as PQ_HEADER rows."""
     params = pq.PQParams(p, q)
     alpha = _alpha(T, k, mass)
-    value = pq.pq_intercept(params, alpha, r)
-    bound = 16.0 * core.DBL_EPS * (abs(value) + 1.0)
+    res = pq.pq_intercept_result(params, alpha, r)
     asym = pq.pq_intercept_asymptotic(params, r)
     return [
-        ("lambda_pq", k, T, params.p, params.q, r, value, bound, core.CLOSED_FORM),
+        ("lambda_pq", k, T, params.p, params.q, r, res.value, res.error_bound, res.method),
         ("asymptote", math.inf, T, params.p, params.q, r, asym, 0.0, core.ASYMPTOTIC),
     ]
 

@@ -18,11 +18,13 @@ from __future__ import annotations
 import logging
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import (
     MAX_TERMS,
+    ConvergenceError,
     DomainError,
     PoleError,
     _check_alpha,
@@ -157,14 +159,164 @@ def _series_pole(mu: float, r: int) -> bool:
     return 1 <= nearest <= r - 1 and abs(inv - nearest) <= _POLE_TOL * inv
 
 
-def _closed_sum(mu: float, alpha: float, r: int, rtol: float) -> tuple[float, float]:
-    return _converged(kernels.closed_moment_sum(mu, alpha, r, rtol, 0.0, MAX_TERMS),
-                      MAX_TERMS, "closed-form moment", mu=mu, alpha=alpha, r=r)
+def _route(kind: str, mu: float, r: int, tol: float, method: str) -> bool | None:
+    """Route of a whole curve: True closed form, False oracle, None exact (mu = 0).
+
+    It depends only on (kind, mu, r, tol, method), so a curve decides it
+    once.  The DomainError or PoleError raised here concerns every point.
+    """
+    if kind == "mean":
+        _check_tol(tol)
+        return None if mu == 0.0 else True
+    _check_order(r, minimum=2 if kind == "intercept" else 1)
+    _check_tol(tol)
+    if kind == "series":
+        if _series_pole(mu, r):
+            raise PoleError(
+                f"1/mu = {1.0 / mu:.6g} is an integer <= r-1 = {r - 1}; "
+                "the defining series has a pole"
+            )
+        return False
+    if kind == "intercept" and method not in ("auto", "closed", "oracle"):
+        raise DomainError(f"unknown method {method!r}")
+    if mu == 0.0:
+        return None
+    admissible = closed_form_admissible(mu, r)
+    if kind == "moment":
+        if not admissible:
+            raise DomainError(
+                f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
+                f"got mu={mu}; use oracle_moment instead"
+            )
+        return _closed_is_reliable(mu, r, tol)
+    if method == "closed" and not admissible:
+        raise DomainError(
+            f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
+            f"got mu={mu}"
+        )
+    use_closed = method == "closed" or (
+        method == "auto" and admissible and _closed_is_reliable(mu, r, tol)
+    )
+    if not use_closed and _series_pole(mu, r):
+        raise PoleError(
+            f"1/mu = {1.0 / mu:.6g} is an integer <= r-1 = {r - 1}; "
+            "the defining series has a pole and no evaluation route exists"
+        )
+    return use_closed
 
 
-def _oracle_sum(mu: float, alpha: float, r: int, rtol: float) -> tuple[float, float]:
-    return _converged(kernels.oracle_moment_sum(mu, alpha, r, rtol, 0.0, MAX_TERMS),
-                      MAX_TERMS, "oracle moment", mu=mu, alpha=alpha, r=r)
+def _sums(mu: float, alphas: list[float], r: int, rtol: float,
+          closed: bool) -> list[tuple[float, float] | ConvergenceError]:
+    """(value, error) of the r-th moment at each alpha in one kernel call.
+
+    A point whose sum used the whole term budget gets its ConvergenceError.
+    """
+    if closed:
+        summed = kernels.closed_moment_sums(mu, alphas, r, rtol, 0.0, MAX_TERMS)
+        what = "closed-form moment"
+    else:
+        summed = kernels.oracle_moment_sums(mu, alphas, r, rtol, 0.0, MAX_TERMS)
+        what = "oracle moment"
+    out: list[tuple[float, float] | ConvergenceError] = []
+    for alpha, point in zip(alphas, summed):
+        try:
+            out.append(_converged(point, MAX_TERMS, what, mu=mu, alpha=alpha, r=r))
+        except ConvergenceError as exc:
+            out.append(exc)
+    return out
+
+
+def _exact(kind: str, alpha: float, r: int) -> CorrelationResult:
+    """The mu = 0 (Bose-Einstein) value of a mean, moment or intercept."""
+    if kind == "intercept":
+        return CorrelationResult(float(math.factorial(r) - 1), 0.0, CLOSED_FORM)
+    base = 1.0 / math.expm1(alpha)
+    if kind == "mean":
+        return CorrelationResult(base, 4.0 * DBL_EPS * base, CLOSED_FORM)
+    value = math.factorial(r) * base**r
+    return CorrelationResult(value, 4.0 * (r + 1) * DBL_EPS * value, CLOSED_FORM)
+
+
+_Outcome = CorrelationResult | DomainError | ConvergenceError
+
+
+def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
+           tol: float, method: str = "auto") -> list[_Outcome]:
+    """One result per alpha of a curve at fixed (mu, r, tol, method).
+
+    ``kind`` is ``"mean"`` (<a+ a>; ``r`` is not used), ``"moment"``
+    (:func:`r_moment`), ``"series"`` (:func:`oracle_moment`) or
+    ``"intercept"`` (:func:`intercept`).  Each series is summed for all
+    points in one kernel call.  An invalid mu raises.  Every other
+    failure is returned in the slot of its point, in the precedence of a
+    one-point call: an invalid alpha, then the route's DomainError or
+    PoleError, then the point's ConvergenceError.
+    """
+    mu = _as_mu(d)
+    out: list = [None] * len(alphas)
+    todo = []
+    for i, alpha in enumerate(alphas):
+        try:
+            _check_alpha(alpha)
+        except DomainError as exc:
+            out[i] = exc
+        else:
+            todo.append(i)
+    try:
+        closed = _route(kind, mu, r, tol, method)
+    except DomainError as exc:
+        for i in todo:
+            out[i] = exc
+        return out
+    if closed is None:
+        for i in todo:
+            out[i] = _exact(kind, alphas[i], r)
+        return out
+    tag = CLOSED_FORM if closed else ORACLE
+    if kind != "intercept":
+        order = 1 if kind == "mean" else r
+        summed = _sums(mu, [alphas[i] for i in todo], order, tol, closed)
+        for i, point in zip(todo, summed):
+            if not isinstance(point, ConvergenceError):
+                point = CorrelationResult(*point, tag)
+            out[i] = point
+        return out
+
+    part_tol = tol / (2.0 * (r + 1))
+    means = []
+    for i, point in zip(todo, _sums(mu, [alphas[i] for i in todo], 1, part_tol, closed)):
+        if isinstance(point, ConvergenceError):
+            out[i] = point
+            continue
+        mean_val, mean_err = point
+        if mean_val <= 0.0 or r * math.log(mean_val) < math.log(UNDERFLOW_FLOOR):
+            value = intercept_asymptotic(mu, r)
+            err = ((value + 1.0) * (r * r + r) * max(mean_val, 0.0)
+                   + 8.0 * DBL_EPS * (abs(value) + 1.0))
+            log.info("intercept(mu=%g, alpha=%g, r=%d): occupation underflow, "
+                     "returning asymptotic value", mu, alphas[i], r)
+            out[i] = CorrelationResult(value, err, ASYMPTOTIC)
+        else:
+            means.append((i, mean_val, mean_err))
+    moments = _sums(mu, [alphas[i] for i, _, _ in means], r, part_tol, closed)
+    for (i, mean_val, mean_err), point in zip(means, moments):
+        if isinstance(point, ConvergenceError):
+            out[i] = point
+            continue
+        mom_val, mom_err = point
+        ratio = mom_val / mean_val**r
+        value = ratio - 1.0
+        err = ratio * (mom_err / mom_val + r * mean_err / mean_val) + 8.0 * DBL_EPS * ratio
+        out[i] = CorrelationResult(value, err, tag)
+    return out
+
+
+def _point(outcomes: list[_Outcome]) -> CorrelationResult:
+    """The result of a one-point curve, raising its failure."""
+    res = outcomes[0]
+    if not isinstance(res, CorrelationResult):
+        raise res
+    return res
 
 
 def mean_occupation(d: DeformationMu | float, alpha: float,
@@ -175,14 +327,7 @@ def mean_occupation(d: DeformationMu | float, alpha: float,
     the Lerch closed form mu^-1 - mu^-2 (1 - e^-alpha) Phi(e^-alpha, 1, 1/mu),
     evaluated through its cancellation-free rearrangement.
     """
-    mu = _as_mu(d)
-    _check_alpha(alpha)
-    _check_tol(tol)
-    if mu == 0.0:
-        value = 1.0 / math.expm1(alpha)
-        return CorrelationResult(value, 4.0 * DBL_EPS * value, CLOSED_FORM)
-    value, err = _closed_sum(mu, alpha, 1, tol)
-    return CorrelationResult(value, err, CLOSED_FORM)
+    return _point(_curve("mean", d, (alpha,), 1, tol))
 
 
 def r_moment(d: DeformationMu | float, alpha: float, r: int,
@@ -194,47 +339,31 @@ def r_moment(d: DeformationMu | float, alpha: float, r: int,
     tolerance; otherwise the direct series takes over and the result is
     tagged ``oracle``.  mu = 0 is exactly r! / (e^alpha - 1)^r.
     """
-    mu = _as_mu(d)
-    _check_alpha(alpha)
-    _check_order(r)
-    _check_tol(tol)
-    if mu == 0.0:
-        base = 1.0 / math.expm1(alpha)
-        value = math.factorial(r) * base**r
-        return CorrelationResult(value, 4.0 * (r + 1) * DBL_EPS * value, CLOSED_FORM)
-    if not closed_form_admissible(mu, r):
-        raise DomainError(
-            f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
-            f"got mu={mu}; use oracle_moment instead"
-        )
-    if _closed_is_reliable(mu, r, tol):
-        value, err = _closed_sum(mu, alpha, r, tol)
-        return CorrelationResult(value, err, CLOSED_FORM)
-    value, err = _oracle_sum(mu, alpha, r, tol)
-    return CorrelationResult(value, err, ORACLE)
+    return _point(_curve("moment", d, (alpha,), r, tol))
 
 
 def oracle_moment(d: DeformationMu | float, alpha: float, r: int,
                   tol: float = DEFAULT_TOL) -> CorrelationResult:
     """Brute-force r-th moment (1-z) sum_n z^n prod_{l<r} phi(n-l)."""
-    mu = _as_mu(d)
-    _check_alpha(alpha)
-    _check_order(r)
-    _check_tol(tol)
-    if _series_pole(mu, r):
-        raise PoleError(
-            f"1/mu = {1.0 / mu:.6g} is an integer <= r-1 = {r - 1}; "
-            "the defining series has a pole"
-        )
-    value, err = _oracle_sum(mu, alpha, r, tol)
-    return CorrelationResult(value, err, ORACLE)
+    return _point(_curve("series", d, (alpha,), r, tol))
 
 
 def intercept_asymptotic(d: DeformationMu | float, r: int) -> float:
-    """Large-alpha limit (1+mu)^r [r]_mu! - 1 of the intercept."""
+    """Large-alpha limit (1+mu)^r [r]_mu! - 1 of the intercept.
+
+    Where (1+mu)^r is beyond the double range, the same limit is
+    evaluated as prod_{j<=r} j(1+mu)/(1+mu j) - 1, written as
+    expm1(sum_j log1p((j-1)/(1+mu j))) so that it neither overflows nor
+    cancels.
+    """
     mu = _as_mu(d)
     _check_order(r)
-    return (1.0 + mu) ** r * mu_factorial(r, mu) - 1.0
+    try:
+        scale = (1.0 + mu) ** r
+    except OverflowError:
+        return math.expm1(math.fsum(math.log1p((j - 1) / (1.0 + mu * j))
+                                    for j in range(2, r + 1)))
+    return scale * mu_factorial(r, mu) - 1.0
 
 
 def intercept(d: DeformationMu | float, alpha: float, r: int,
@@ -256,50 +385,7 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
     ``UNDERFLOW_FLOOR``) the asymptotic value is returned with method
     tag ``asymptotic``.
     """
-    mu = _as_mu(d)
-    _check_alpha(alpha)
-    _check_order(r, minimum=2)
-    _check_tol(tol)
-    if method not in ("auto", "closed", "oracle"):
-        raise DomainError(f"unknown method {method!r}")
-    if mu == 0.0:
-        value = float(math.factorial(r) - 1)
-        return CorrelationResult(value, 0.0, CLOSED_FORM)
-
-    admissible = closed_form_admissible(mu, r)
-    if method == "closed" and not admissible:
-        raise DomainError(
-            f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
-            f"got mu={mu}"
-        )
-
-    use_closed = method == "closed" or (
-        method == "auto" and admissible and _closed_is_reliable(mu, r, tol)
-    )
-    if not use_closed and _series_pole(mu, r):
-        raise PoleError(
-            f"1/mu = {1.0 / mu:.6g} is an integer <= r-1 = {r - 1}; "
-            "the defining series has a pole and no evaluation route exists"
-        )
-
-    part_tol = tol / (2.0 * (r + 1))
-    summer = _closed_sum if use_closed else _oracle_sum
-    mean_val, mean_err = summer(mu, alpha, 1, part_tol)
-
-    if mean_val <= 0.0 or r * math.log(mean_val) < math.log(UNDERFLOW_FLOOR):
-        value = intercept_asymptotic(mu, r)
-        err = (value + 1.0) * (r * r + r) * max(mean_val, 0.0) + 8.0 * DBL_EPS * (abs(value) + 1.0)
-        log.info(
-            "intercept(mu=%g, alpha=%g, r=%d): occupation underflow, returning asymptotic value",
-            mu, alpha, r,
-        )
-        return CorrelationResult(value, err, ASYMPTOTIC)
-
-    mom_val, mom_err = summer(mu, alpha, r, part_tol)
-    ratio = mom_val / mean_val**r
-    value = ratio - 1.0
-    err = ratio * (mom_err / mom_val + r * mean_err / mean_val) + 8.0 * DBL_EPS * ratio
-    return CorrelationResult(value, err, CLOSED_FORM if use_closed else ORACLE)
+    return _point(_curve("intercept", d, (alpha,), r, tol, method))
 
 
 def _merge_method(*methods: str) -> str:
@@ -314,27 +400,52 @@ def _r3_combine(l2: float, l3: float) -> float:
     return (l3 - 3.0 * l2) / (2.0 * l2**1.5)
 
 
+def _check_lambda2(l2: float, power: float, what: str) -> None:
+    """r3 divides by lambda2^power, which must be a positive double."""
+    if not l2 > 0.0:
+        raise DomainError(f"{what} = {l2} is not positive; r3 undefined")
+    if not l2**power > 0.0:
+        raise DomainError(f"{what} = {l2} underflows lambda2^{power}; r3 undefined")
+
+
+def _r3_curve(d: DeformationMu | float, alphas: Sequence[float], tol: float,
+              method: str = "auto") -> list[_Outcome]:
+    """:func:`r3_function` at every alpha, failures in their slots as in :func:`_curve`."""
+    sub_tol = tol / 16.0
+    out = _curve("intercept", d, alphas, 2, sub_tol, method)
+    todo = [i for i, lam2 in enumerate(out) if isinstance(lam2, CorrelationResult)]
+    lam3s = _curve("intercept", d, [alphas[i] for i in todo], 3, sub_tol, method)
+    for i, lam3 in zip(todo, lam3s):
+        lam2 = out[i]
+        if not isinstance(lam3, CorrelationResult):
+            out[i] = lam3
+            continue
+        try:
+            _check_lambda2(lam2.value, 2.5, "lambda2")
+        except DomainError as exc:
+            out[i] = exc
+            continue
+        value = _r3_combine(lam2.value, lam3.value)
+        d3 = 1.0 / (2.0 * lam2.value**1.5)
+        d2 = -3.0 / (2.0 * lam2.value**1.5) - 3.0 * (lam3.value - 3.0 * lam2.value) / (
+            4.0 * lam2.value**2.5
+        )
+        err = abs(d3) * lam3.error_bound + abs(d2) * lam2.error_bound + 8.0 * DBL_EPS * (
+            abs(value) + 1.0
+        )
+        out[i] = CorrelationResult(value, err, _merge_method(lam2.method, lam3.method))
+    return out
+
+
 def r3_function(d: DeformationMu | float, alpha: float,
                 tol: float = DEFAULT_TOL, method: str = "auto") -> CorrelationResult:
     """Normalised three-particle combination (lambda3 - 3 lambda2) / (2 lambda2^(3/2))."""
-    sub_tol = tol / 16.0
-    lam2 = intercept(d, alpha, 2, sub_tol, method)
-    lam3 = intercept(d, alpha, 3, sub_tol, method)
-    if lam2.value <= 0.0:
-        raise DomainError(f"lambda2 = {lam2.value} is not positive; r3 undefined")
-    value = _r3_combine(lam2.value, lam3.value)
-    d3 = 1.0 / (2.0 * lam2.value**1.5)
-    d2 = -3.0 / (2.0 * lam2.value**1.5) - 3.0 * (lam3.value - 3.0 * lam2.value) / (
-        4.0 * lam2.value**2.5
-    )
-    err = abs(d3) * lam3.error_bound + abs(d2) * lam2.error_bound + 8.0 * DBL_EPS * (
-        abs(value) + 1.0
-    )
-    return CorrelationResult(value, err, _merge_method(lam2.method, lam3.method))
+    return _point(_r3_curve(d, (alpha,), tol, method))
 
 
 def r3_asymptotic(d: DeformationMu | float) -> float:
     """Large-alpha limit of :func:`r3_function` (asymptotic intercepts substituted)."""
     l2 = intercept_asymptotic(d, 2)
     l3 = intercept_asymptotic(d, 3)
+    _check_lambda2(l2, 1.5, "lambda2 asymptote")
     return _r3_combine(l2, l3)

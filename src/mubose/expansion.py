@@ -104,15 +104,20 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     )
     weights = tuple(j**s for j in range(1, l + 1))
 
-    x = math.expm1(alpha)
-    recip_part = 0.0
-    xp = 1.0
-    for coeff in recip:
-        xp /= x
-        recip_part += coeff * xp
-    value = recip_part * math.exp(-alpha * l)
-    for j, weight in enumerate(weights, start=1):
-        value += weight * math.exp(alpha * (j - l))
+    try:
+        x = math.expm1(alpha)
+        recip_part = 0.0
+        xp = 1.0
+        for coeff in recip:
+            xp /= x
+            recip_part += coeff * xp
+        value = recip_part * math.exp(-alpha * l)
+        for j, weight in enumerate(weights, start=1):
+            value += weight * math.exp(alpha * (j - l))
+    except OverflowError:
+        raise DomainError(
+            f"c_{s}({l}) at alpha={alpha} has terms beyond the double range"
+        ) from None
     if s == 0:
         value += math.exp(-alpha * l)
     return CCoefficient(s, l, alpha, value, recip, weights)
@@ -182,8 +187,9 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
 
     The coefficient sums grow factorially in s, so for any mu > 0 the
     term magnitudes eventually increase without bound; the returned rows
-    exhibit that turnaround.  Float overflow inside a term is reported
-    as a terminal row with infinite magnitude rather than an exception.
+    exhibit that turnaround.  Float overflow inside a term, including a
+    coefficient c_s(l) beyond the double range, is reported as a terminal
+    row with infinite magnitude rather than an exception.
     """
     mu = _as_mu(d)
     _check_mu_positive(mu)
@@ -200,7 +206,7 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
             for l in range(r):
                 inner += weights[l] * c_coeff(s, l, alpha).value
             term = mu**s * inner
-        except OverflowError:
+        except (OverflowError, DomainError):
             entries.append(DivergenceEntry(s, partial, math.inf))
             break
         if not math.isfinite(term):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from ._backend import kernels
 from .core import (
+    CLOSED_FORM,
+    DBL_EPS,
     DEFAULT_TOL,
     CorrelationResult,
     DeformationMu,
@@ -116,32 +118,52 @@ def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
     return CorrelationResult(value, err, "oracle")
 
 
-def pq_intercept(pq: PQParams, alpha: float, r: int) -> float:
-    """Intercept lambda^(r) = moment / mean^r - 1 of the p,q-gas.
+def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult:
+    """Intercept lambda^(r) = moment / mean^r - 1 of the p,q-gas, with its error bound.
 
     Uses the cancelled closed form
     [r]! (1-pz)^r (1-qz)^r / ((1-z)^(r-1) prod_{j=0}^{r} (1 - p^j q^(r-j) z)) - 1,
     algebraically identical to the moment ratio but free of the z^r
-    underflow at large alpha.
+    underflow at large alpha.  Every factor 1 - c z is formed as
+    -expm1(ln c - alpha), which keeps it to a few units of roundoff even
+    where c z is close to 1 (small alpha), where 1 - c z by subtraction
+    would lose digits.  With u the double unit roundoff, each factor
+    then carries a relative error of at most 7u (log, product and
+    difference 5u, expm1 2u), the factorial 2r(r+1)u, and the
+    4r + 1 products and one quotient one u each; the bound sums them
+    to first order, K = 2r^2 + 29r + 6, as |ratio| K u / (1 - K u),
+    plus the rounding of the final subtraction.
     """
     _check_alpha(alpha)
     _check_order(r, minimum=2)
-    z = math.exp(-alpha)
+    log_p, log_q = math.log(pq.p), math.log(pq.q)
+
+    def one_minus(log_c: float) -> float:
+        return -math.expm1(log_c - alpha)
+
     num = pq_factorial(r, pq)
-    pz = 1.0 - pq.p * z
-    qz = 1.0 - pq.q * z
+    pz = one_minus(log_p)
+    qz = one_minus(log_q)
     for _ in range(r):
         num *= pz
         num *= qz
     den = 1.0
-    gap = 1.0 - z
+    gap = one_minus(0.0)
     for _ in range(r - 1):
         den *= gap
-    for f in _denominator_factors(pq, z, r):
-        if f <= 0.0:
-            raise DomainError(f"denominator factor {f} is not positive")
-        den *= f
-    return num / den - 1.0
+    for j in range(r + 1):
+        den *= one_minus(j * log_p + (r - j) * log_q)
+    ratio = num / den
+    value = ratio - 1.0
+    unit = DBL_EPS / 2.0
+    k = (2 * r * r + 29 * r + 6) * unit
+    return CorrelationResult(value, abs(ratio) * k / (1.0 - k) + unit * abs(value),
+                             CLOSED_FORM)
+
+
+def pq_intercept(pq: PQParams, alpha: float, r: int) -> float:
+    """Value of :func:`pq_intercept_result`."""
+    return pq_intercept_result(pq, alpha, r).value
 
 
 def pq_intercept_asymptotic(pq: PQParams, r: int) -> float:

@@ -7,12 +7,14 @@ import sys
 import pytest
 
 from mubose import _kernels_py
-from mubose._backend import kernels
+from mubose._backend import kernels, with_batched_kernels
 
 try:
     from mubose import _kernels as _compiled
 except ImportError:
     _compiled = None
+else:
+    _compiled = with_batched_kernels(_compiled)
 
 needs_compiled = pytest.mark.skipif(
     _compiled is None, reason="compiled kernel extension not built"
@@ -60,6 +62,22 @@ class TestBitParity:
                     got = _compiled.oracle_moment_sum(mu, alpha, r, 1e-13, 0.0, 10**7)
                     want = _kernels_py.oracle_moment_sum(mu, alpha, r, 1e-13, 0.0, 10**7)
                     assert got == want
+
+    def test_closed_moment_sums(self):
+        alphas = [0.05 + 0.37 * i for i in range(40)]
+        for mu in (0.05, 0.1, 0.2, 0.3):
+            for r in (1, 2, 3, 5):
+                got = _compiled.closed_moment_sums(mu, alphas, r, 1e-13, 0.0, 10**7)
+                want = _kernels_py.closed_moment_sums(mu, alphas, r, 1e-13, 0.0, 10**7)
+                assert got == want
+
+    def test_oracle_moment_sums(self):
+        alphas = [0.05 + 0.37 * i for i in range(40)]
+        for mu in (0.0, 0.1, 0.45, 1e-6):
+            for r in (1, 2, 4):
+                got = _compiled.oracle_moment_sums(mu, alphas, r, 1e-13, 0.0, 10**7)
+                want = _kernels_py.oracle_moment_sums(mu, alphas, r, 1e-13, 0.0, 10**7)
+                assert got == want
 
     def test_power_sum(self):
         for s in (0, 1, 4, 8):

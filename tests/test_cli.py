@@ -1,5 +1,6 @@
 """Command-line interface: output schema, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mubose import core
+from mubose import PQParams, core, pq_intercept_result
 from mubose.cli import (
     FIGURE_MUS,
     GRID_HEADER,
@@ -173,6 +174,15 @@ class TestPQCompare:
         assert rows[1]["quantity"] == "asymptote"
         assert rows[1]["k_mev"] == "inf"
 
+    def test_prints_the_derived_bound(self, capsys):
+        assert main(["pq-compare", "--p", "0.9", "--q", "0.7", "--order", "5",
+                     "--temperature", "1e6"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        alpha = core.ThermoPoint(1e6, 0.0, 139.57).alpha
+        res = pq_intercept_result(PQParams(0.9, 0.7), alpha, 5)
+        assert rows[0]["error_bound"] == "%.12g" % res.error_bound
+        assert rows[0]["method"] == res.method
+
     def test_p_q_symmetry_bytes(self, capsys):
         main(["pq-compare", "--p", "0.7", "--q", "0.9", "--order", "2"])
         first = capsys.readouterr().out
@@ -256,6 +266,35 @@ class TestFigure:
             figure_records("fig9", GridSpec())
 
 
+class TestFigureGolden:
+    """sha256 of the stdout of each figure preset, captured before curves
+    were summed in one kernel call per curve (x86-64, 80-bit long double)."""
+
+    DIGESTS = {
+        ("fig1", "csv"): "fb5f9f2354191357ce1af2ae7201f8a06bb4d8bdf9325416ef81c6bdb3f68583",
+        ("fig2", "csv"): "41eb2077fdb45375c44dddcd34697bc76b1ee8781403d1df9394baec77e7c63c",
+        ("fig3", "csv"): "acf11072e4bd9d877d49c663a83033539115ae5cbd1f6f0c150a0bde8a2df0f7",
+        ("fig4", "csv"): "92fb8d75a163a8ba8ba062aa4df2ae40de12818048a93366b557bdcbd3be143e",
+        ("fig1", "json"): "64bf4dd8ac546fba497afaf3e8789b083490e0ed9e069b7eb7689d177b859edb",
+        ("fig2", "json"): "df91a8b211d3cf1ff9e514a96092b5a2a00ad2000315d85091ee5cedcc0e501e",
+        ("fig3", "json"): "77815dea1de4b3ab92a8dcd70a043bd9ba8e915a0aeb914eae218723e5df4800",
+        ("fig4", "json"): "7950bb233822d165af13efb3439fe225267c768d3ab54ffcfa3895e6b8bbb7b1",
+    }
+
+    @pytest.mark.parametrize("preset, fmt", sorted(DIGESTS))
+    def test_preset_at_1001_momenta(self, preset, fmt, capsys):
+        assert main(["figure", preset, "--k-steps", "1001", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[preset, fmt]
+        assert err == ""
+
+    def test_fig4_through_the_oracle(self, capsys):
+        assert main(["figure", "fig4", "--oracle"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6c8b2eba3225093b3e35df64a88ac36525423158631015f12f258c3c2bdb1328")
+
+
 class TestRender:
     def test_failed_record_cells(self):
         grid = GridSpec(k_steps=2, mus=(0.5,), temperatures=(120.0,))
@@ -298,6 +337,22 @@ class TestEndToEnd:
         assert out.returncode == 0
         data = json.loads(target.read_text())
         assert {row["quantity"] for row in data} == {"r3", "asymptote"}
+
+    def test_package_runs_as_module(self):
+        args = ("intercept", "--mu", "0.1")
+        out = subprocess.run([sys.executable, "-m", "mubose", *args],
+                             capture_output=True, text=True)
+        assert out.returncode == 0
+        assert out.stdout == run_cli(*args).stdout
+
+    def test_huge_mu(self):
+        # (1+mu)^r is beyond the double range: the asymptotic limit, or a domain error
+        out = run_cli("intercept", "--mu", "1e300", "--oracle")
+        assert out.returncode == 0
+        assert parse_csv(out.stdout)[0]["method"] == "asymptotic"
+        out = run_cli("r3", "--mu", "1e300", "--oracle")
+        assert out.returncode == 1
+        assert out.stderr.startswith("domain error:") and "Traceback" not in out.stderr
 
     def test_console_script_entry_point(self):
         # The target comes from pyproject.toml, so a checkout run with

@@ -237,6 +237,23 @@ class TestAsymptotics:
         want = (1 + mu) ** r * mu_factorial(r, mu) - 1.0
         assert intercept_asymptotic(mu, r) == want
 
+    def test_huge_mu_keeps_the_finite_limit(self):
+        # (1+mu)^r overflows; the limit is prod_j j(1+mu)/(1+mu j) - 1 ~ r(r-1)/(4mu)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for mu, r in ((1e300, 3), (1e300, 64), (1e200, 2)):
+                want = mpmath.mpf(1)
+                for j in range(1, r + 1):
+                    want *= j * (1 + mpmath.mpf(mu)) / (1 + mpmath.mpf(mu) * j)
+                got = intercept_asymptotic(mu, r)
+                assert got == pytest.approx(float(want - 1), rel=1e-14)
+        assert intercept_asymptotic(1e308, 2) >= 0.0
+
+    def test_huge_mu_intercept_takes_the_limit(self):
+        res = intercept(1e300, 1.163, 2, method="oracle")
+        assert res.method == ASYMPTOTIC
+        assert res.value == intercept_asymptotic(1e300, 2)
+
     def test_convergence_at_high_momentum(self):
         alpha = ThermoPoint(120.0, 3000.0, PION).alpha
         for r in (2, 3):
@@ -252,6 +269,15 @@ class TestR3:
     def test_asymptotic_value(self):
         assert r3_asymptotic(0.1) == pytest.approx(0.7583850796225377, rel=1e-13)
         assert r3_asymptotic(0.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_lambda2_beyond_double_range_is_a_domain_error(self):
+        # lambda2 -> 1/(1+2mu): zero in doubles at mu = 1e100, and its
+        # 3/2 and 5/2 powers underflow at mu = 1e300
+        for mu in (1e100, 1e300):
+            with pytest.raises(DomainError, match="r3 undefined"):
+                r3_asymptotic(mu)
+        with pytest.raises(DomainError, match="r3 undefined"):
+            r3_function(1e300, 1.163, method="oracle")
 
     def test_large_alpha_matches_asymptote(self):
         res = r3_function(0.1, 28.0)

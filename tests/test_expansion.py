@@ -88,6 +88,11 @@ class TestCCoefficient:
         assert len(res.recip_coeffs) == 71
         assert math.isfinite(res.value)
 
+    def test_beyond_double_range(self):
+        # 200! S(201, j) does not fit a double
+        with pytest.raises(DomainError, match="double range"):
+            c_coeff(200, 3, 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             c_coeff(-1, 0, 1.0)
@@ -180,6 +185,15 @@ class TestDivergence:
         entries = divergence_diagnostic(1.0, 0.5, 1, 400)
         assert entries[-1].term_magnitude == math.inf
         assert len(entries) < 401
+
+    def test_coefficient_overflow_terminates_sequence(self):
+        # mu^s keeps the terms small; c_160(0) itself leaves the double range
+        entries = divergence_diagnostic(0.01, 5.0, 1, 200)
+        assert entries[-2].term_magnitude < 1e-100
+        assert entries[-1].term_magnitude == math.inf
+        assert entries[-1].s == 160
+        with pytest.raises(DomainError):
+            c_coeff(160, 0, 5.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

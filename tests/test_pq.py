@@ -12,6 +12,7 @@ from mubose import (
     pq_factorial,
     pq_intercept,
     pq_intercept_asymptotic,
+    pq_intercept_result,
     pq_moment,
     pq_oracle_moment,
 )
@@ -135,6 +136,39 @@ class TestIntercept:
     def test_domain(self):
         with pytest.raises(DomainError):
             pq_intercept(PQParams(0.9, 0.7), 1.0, 1)
+
+
+class TestInterceptBound:
+    """The derived bound of pq_intercept_result against a 40-digit reference."""
+
+    @staticmethod
+    def _reference(p, q, alpha, r):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            p, q, z = mp.mpf(p), mp.mpf(q), mp.exp(-mp.mpf(alpha))
+
+            def bracket(n):
+                return sum(p**j * q ** (n - 1 - j) for j in range(n))
+
+            num = mp.mpf(1)
+            for n in range(1, r + 1):
+                num *= bracket(n)
+            num *= (1 - p * z) ** r * (1 - q * z) ** r
+            den = (1 - z) ** (r - 1)
+            for j in range(r + 1):
+                den *= 1 - p**j * q ** (r - j) * z
+            return num / den - 1
+
+    @pytest.mark.parametrize("p, q", [(0.9, 0.7), (0.95, 0.5), (1.0, 0.8)])
+    def test_bound_holds(self, p, q):
+        for alpha in (1e-6, 1e-4, 1e-2, 1.0):
+            for r in (2, 3, 5):
+                res = pq_intercept_result(PQParams(p, q), alpha, r)
+                assert res.value == pq_intercept(PQParams(p, q), alpha, r)
+                err = abs(res.value - float(self._reference(p, q, alpha, r)))
+                assert err <= res.error_bound, (p, q, alpha, r, err, res.error_bound)
+                # a few hundred roundoffs, not a blanket allowance
+                assert res.error_bound <= 1e-12 * (abs(res.value) + 1.0)
 
 
 class TestAsymptotic:
