@@ -10,7 +10,11 @@ moment to the tolerances the rest of the package promises.
 Kernels perform no argument validation and raise nothing on
 non-convergence; they return ``(value, error_bound, terms_used)`` with a
 rigorous truncation bound folded into ``error_bound`` and leave policy
-to the calling module.
+to the calling module.  The two moment kernels sum a whole curve:
+``closed_moment_sums`` and ``oracle_moment_sums`` take a sequence of
+alphas and return one such triple per alpha, and the scalar
+``closed_moment_sum`` and ``oracle_moment_sum`` are their one-point
+calls.
 """
 
 from __future__ import annotations
@@ -132,9 +136,16 @@ def _sum_rows(rows: int, max_terms: int, block, state: list) -> np.ndarray:
     return terms
 
 
-def _running(carry: np.ndarray, steps: np.ndarray, accumulate) -> np.ndarray:
-    """Sequential accumulation of ``steps`` onto ``carry``, per row, without the carry column."""
-    return accumulate(np.concatenate([carry[:, None], steps], axis=1), axis=1)[:, 1:]
+def _running_sum(carry: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """carry + steps[:, 0] + ... + steps[:, j] per row for every j, summed in order."""
+    return np.cumsum(np.concatenate([carry[:, None], steps], axis=1), axis=1)[:, 1:]
+
+
+def _powers(carry: np.ndarray, z: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """carry * z^j per row for j = 0..width-1 and for j = 1..width, by sequential products."""
+    steps = np.broadcast_to(z, (carry.size, width))
+    out = np.cumprod(np.concatenate([carry[:, None], steps], axis=1), axis=1)
+    return out[:, :-1], out[:, 1:]
 
 
 def _results(value, err, terms) -> list:
@@ -189,10 +200,9 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
             s_abs += abs(t)
         den = (_ONE + mu_ld * (m + 2 - r)) * (_ONE + mu_ld * (m + 1 - r))
         za = z[active, None]
-        zms = _running(zm[active], np.repeat(za, width, axis=1), np.cumprod)
-        zm_before = np.concatenate([zm[active, None], zms[:, :-1]], axis=1)
-        accs = _running(acc[active], zm_before * s_val, np.cumsum)
-        abs_accs = _running(abs_acc[active], zm_before * s_abs, np.cumsum)
+        zm_before, zms = _powers(zm[active], za, width)
+        accs = _running_sum(acc[active], zm_before * s_val)
+        abs_accs = _running_sum(abs_acc[active], zm_before * s_abs)
         tails = big_k * zms / den * inv_gap[active, None]
         stop = tails * scale <= np.fmax(atol_ld, rtol_ld * abs(accs) * scale)
         return stop, (zms, accs, abs_accs, tails)
@@ -245,9 +255,8 @@ def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
             ratio *= (n + 2) / (n + 1)
             bound *= n + 1
         za = z[active, None]
-        zns = _running(zn[active], np.repeat(za, width, axis=1), np.cumprod)
-        zn_before = np.concatenate([zn[active, None], zns[:, :-1]], axis=1)
-        accs = _running(acc[active], prod * zn_before, np.cumsum)
+        zn_before, zns = _powers(zn[active], za, width)
+        accs = _running_sum(acc[active], prod * zn_before)
         rho = ratio * za
         # where rho >= 1 the geometric bound does not apply and the tail is
         # infinite; the discarded quotient there may divide by zero
