@@ -6,8 +6,8 @@ asymptotics, Taylor-in-mu coefficient tables, and the p,q-Bose gas
 comparison formulas.  Every closed form is backed by an independent
 brute-force series oracle.
 
-The numerical kernels run on a compiled extension when available; set
-MUBOSE_PURE_PYTHON=1 to force the pure-Python backend.
+The numerical kernels are one numpy module that sums in long double;
+``backend_name()`` names it.
 """
 
 from ._backend import backend_name

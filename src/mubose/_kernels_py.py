@@ -1,8 +1,7 @@
-"""Series-summation kernels, pure-Python backend.
+"""Series-summation kernels.
 
 Every kernel accumulates in numpy extended precision (``long double``,
-80-bit on x86-64) and mirrors, operation for operation, the compiled
-backend in ``_kernels.pyx``.  The extra mantissa bits matter: the
+80-bit on x86-64).  The extra mantissa bits matter: the
 partial-fraction coefficients of high orders are large and nearly
 cancelling, and double precision alone cannot hold the closed-form
 moment to the tolerances the rest of the package promises.
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "python"
+from .errors import DBL_EPS
 
 _LD = np.longdouble
 _ONE = _LD(1)
@@ -30,7 +29,7 @@ _ZERO = _LD(0)
 #: unit roundoff of the accumulation type
 EPS = float(np.finfo(np.longdouble).eps)
 _EPS_LD = _LD(np.finfo(np.longdouble).eps)
-_DBL_EPS = _LD(2.220446049250313e-16)
+_DBL_EPS = _LD(DBL_EPS)
 
 
 def _a_tilde(mu: _LD, r: int) -> list:

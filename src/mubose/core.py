@@ -9,7 +9,7 @@ of one mode depends on the single combination alpha = sqrt(m^2+k^2)/T
 
 with the moments evaluated either through the partial-fraction/Lerch
 closed form or through direct series summation (the oracle); both
-routes live in the kernel backend and are kept deliberately independent
+routes live in the kernel module and are kept deliberately independent
 so they can validate each other.
 """
 
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ._backend import kernels
 from .errors import (
+    DBL_EPS,
     MAX_TERMS,
     ConvergenceError,
     DomainError,
@@ -38,9 +38,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-12
 
-#: double-precision unit roundoff, used in reported error bounds
-DBL_EPS = sys.float_info.epsilon
-
 #: method tags carried by CorrelationResult
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
@@ -49,6 +46,9 @@ ASYMPTOTIC = "asymptotic"
 #: below mean^r = UNDERFLOW_FLOOR the intercept ratio is 0/0 in doubles
 #: and the asymptotic value is returned instead
 UNDERFLOW_FLOOR = 1e-280
+
+#: smallest positive double, the absolute error of a rounding that underflows
+_TINY = math.ulp(0.0)
 
 #: safety margin applied to the closed-form conditioning estimate
 _CONDITION_SAFETY = 32.0
@@ -227,14 +227,24 @@ def _sums(mu: float, alphas: list[float], r: int, rtol: float,
 
 
 def _exact(kind: str, alpha: float, r: int) -> CorrelationResult:
-    """The mu = 0 (Bose-Einstein) value of a mean, moment or intercept."""
+    """The mu = 0 (Bose-Einstein) value of a mean, moment or intercept.
+
+    Where e^alpha - 1 overflows, 1/(e^alpha - 1) is e^-alpha to double
+    precision.  Results in or below the subnormal range are rounded to a
+    grid of spacing ``_TINY``, so each bound adds that absolute error,
+    times (r+1)! for the r! / (e^alpha - 1)^r of a moment.
+    """
     if kind == "intercept":
         return CorrelationResult(float(math.factorial(r) - 1), 0.0, CLOSED_FORM)
-    base = 1.0 / math.expm1(alpha)
+    try:
+        base = 1.0 / math.expm1(alpha)
+    except OverflowError:
+        base = math.exp(-alpha)
     if kind == "mean":
-        return CorrelationResult(base, 4.0 * DBL_EPS * base, CLOSED_FORM)
+        return CorrelationResult(base, 4.0 * DBL_EPS * base + _TINY, CLOSED_FORM)
     value = math.factorial(r) * base**r
-    return CorrelationResult(value, 4.0 * (r + 1) * DBL_EPS * value, CLOSED_FORM)
+    err = 4.0 * (r + 1) * DBL_EPS * value + math.factorial(r + 1) * _TINY
+    return CorrelationResult(value, err, CLOSED_FORM)
 
 
 _Outcome = CorrelationResult | DomainError | ConvergenceError
@@ -351,19 +361,18 @@ def oracle_moment(d: DeformationMu | float, alpha: float, r: int,
 def intercept_asymptotic(d: DeformationMu | float, r: int) -> float:
     """Large-alpha limit (1+mu)^r [r]_mu! - 1 of the intercept.
 
-    Where (1+mu)^r is beyond the double range, the same limit is
-    evaluated as prod_{j<=r} j(1+mu)/(1+mu j) - 1, written as
+    For mu >= 1 the limit falls like r(r-1)/(4 mu), so the printed form
+    cancels toward rounding noise as mu grows (and (1+mu)^r overflows at
+    huge mu).  There it is evaluated as prod_{j<=r} j(1+mu)/(1+mu j) - 1, written as
     expm1(sum_j log1p((j-1)/(1+mu j))) so that it neither overflows nor
     cancels.
     """
     mu = _as_mu(d)
     _check_order(r)
-    try:
-        scale = (1.0 + mu) ** r
-    except OverflowError:
+    if mu >= 1.0:
         return math.expm1(math.fsum(math.log1p((j - 1) / (1.0 + mu * j))
                                     for j in range(2, r + 1)))
-    return scale * mu_factorial(r, mu) - 1.0
+    return (1.0 + mu) ** r * mu_factorial(r, mu) - 1.0
 
 
 def intercept(d: DeformationMu | float, alpha: float, r: int,

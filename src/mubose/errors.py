@@ -1,6 +1,11 @@
-"""Exception types shared across the package, and the argument checks that raise them."""
+"""Exception types, the argument checks that raise them, and the numeric limits
+shared across the package."""
 
 import math
+import sys
+
+#: double-precision unit roundoff, used in reported error bounds
+DBL_EPS = sys.float_info.epsilon
 
 #: largest moment or expansion order the kernels accept
 MAX_ORDER = 64

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from ._backend import kernels
 from .core import (
     CLOSED_FORM,
-    DBL_EPS,
     DEFAULT_TOL,
     CorrelationResult,
     DeformationMu,
@@ -24,7 +23,15 @@ from .core import (
     intercept_asymptotic,
     mu_factorial,
 )
-from .errors import MAX_TERMS, DomainError, _check_alpha, _check_order, _check_tol, _converged
+from .errors import (
+    DBL_EPS,
+    MAX_TERMS,
+    DomainError,
+    _check_alpha,
+    _check_order,
+    _check_tol,
+    _converged,
+)
 
 #: tolerance of the internal (1+mu)^r identity check
 _GAP_TOL = 1e-12

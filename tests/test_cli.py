@@ -128,6 +128,13 @@ class TestDistribution:
         rows = parse_csv(capsys.readouterr().out)
         assert float(rows[0]["value"]) == pytest.approx(0.45459006996278894, rel=1e-11)
 
+    def test_bose_beyond_double_range(self, capsys):
+        # alpha ~ 1396: e^alpha - 1 overflows a double, the occupation underflows
+        code = main(["distribution", "--mu", "0", "--temperature", "0.1"])
+        assert code == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert float(row["value"]) == 0.0 and float(row["error_bound"]) > 0.0
+
     def test_with_oracle(self, capsys):
         code = main(["distribution", "--mu", "0.1", "--temperature", "120",
                      "-k", "250", "--with-oracle"])

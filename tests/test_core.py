@@ -106,6 +106,29 @@ class TestMeanOccupation:
             mean_occupation(0.1, 1.0, tol=0.0)
 
 
+def _bose_moment(alpha, r):
+    """r! / (e^alpha - 1)^r at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return mpmath.factorial(r) / mpmath.expm1(alpha) ** r
+
+
+@pytest.mark.parametrize("alpha", [400.0, 709.0, 710.0, 1e4])
+class TestBoseBeyondDoubleRange:
+    """mu = 0 where e^alpha - 1 overflows or the value underflows."""
+
+    def test_mean(self, alpha):
+        res = mean_occupation(0.0, alpha)
+        assert res.value >= 0.0
+        assert abs(res.value - _bose_moment(alpha, 1)) <= res.error_bound
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_moment(self, alpha, r):
+        res = r_moment(0.0, alpha, r)
+        assert res.method == CLOSED_FORM and res.value >= 0.0
+        assert abs(res.value - _bose_moment(alpha, r)) <= res.error_bound
+
+
 class TestRMoment:
     def test_bose_closed_form(self):
         res = r_moment(0.0, LN2, 3)
@@ -238,15 +261,18 @@ class TestAsymptotics:
         assert intercept_asymptotic(mu, r) == want
 
     def test_huge_mu_keeps_the_finite_limit(self):
-        # (1+mu)^r overflows; the limit is prod_j j(1+mu)/(1+mu j) - 1 ~ r(r-1)/(4mu)
+        # for mu >= 1 the limit prod_j (1 + (j-1)/(1+mu j)) - 1 ~ r(r-1)/(4mu)
+        # is small; the reference keeps 40 digits beyond the 1/mu scale
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            for mu, r in ((1e300, 3), (1e300, 64), (1e200, 2)):
+        cases = [(1e300, 3), (1e300, 64), (1e200, 2)] + [
+            (mu, r) for mu in (1e3, 1e8, 1e16, 1e100, 1e150) for r in (2, 3, 8)]
+        for mu, r in cases:
+            with mpmath.workdps(40 + int(math.log10(mu))):
                 want = mpmath.mpf(1)
-                for j in range(1, r + 1):
-                    want *= j * (1 + mpmath.mpf(mu)) / (1 + mpmath.mpf(mu) * j)
-                got = intercept_asymptotic(mu, r)
-                assert got == pytest.approx(float(want - 1), rel=1e-14)
+                for j in range(2, r + 1):
+                    want *= 1 + (j - 1) / (1 + mpmath.mpf(mu) * j)
+                want = float(want - 1)
+            assert intercept_asymptotic(mu, r) == pytest.approx(want, rel=1e-14, abs=0), (mu, r)
         assert intercept_asymptotic(1e308, 2) >= 0.0
 
     def test_huge_mu_intercept_takes_the_limit(self):
@@ -271,13 +297,23 @@ class TestR3:
         assert r3_asymptotic(0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_lambda2_beyond_double_range_is_a_domain_error(self):
-        # lambda2 -> 1/(1+2mu): zero in doubles at mu = 1e100, and its
-        # 3/2 and 5/2 powers underflow at mu = 1e300
-        for mu in (1e100, 1e300):
-            with pytest.raises(DomainError, match="r3 undefined"):
-                r3_asymptotic(mu)
+        # lambda2 -> 1/(1+2mu): its 3/2 and 5/2 powers underflow at mu = 1e300
+        with pytest.raises(DomainError, match="r3 undefined"):
+            r3_asymptotic(1e300)
         with pytest.raises(DomainError, match="r3 undefined"):
             r3_function(1e300, 1.163, method="oracle")
+
+    def test_asymptote_at_large_mu(self):
+        # lambda2 = 1/(1+2mu) and lambda3 = (5+7mu)/((1+2mu)(1+3mu)) stay
+        # positive doubles at mu = 1e100, where r3 ~ -(2^1.5/6) sqrt(mu)
+        mpmath = pytest.importorskip("mpmath")
+        mu = 1e100
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            l2 = 1 / (1 + 2 * m)
+            l3 = (5 + 7 * m) / ((1 + 2 * m) * (1 + 3 * m))
+            want = float((l3 - 3 * l2) / (2 * l2**1.5))
+        assert r3_asymptotic(mu) == pytest.approx(want, rel=1e-13)
 
     def test_large_alpha_matches_asymptote(self):
         res = r3_function(0.1, 28.0)
