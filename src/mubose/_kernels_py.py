@@ -7,13 +7,14 @@ cancelling, and double precision alone cannot hold the closed-form
 moment to the tolerances the rest of the package promises.
 
 Kernels perform no argument validation and raise nothing on
-non-convergence; they return ``(value, error_bound, terms_used)`` with a
-rigorous truncation bound folded into ``error_bound`` and leave policy
-to the calling module.  The two moment kernels sum a whole curve:
-``closed_moment_sums`` and ``oracle_moment_sums`` take a sequence of
-alphas and return one such triple per alpha, and the scalar
-``closed_moment_sum`` and ``oracle_moment_sum`` are their one-point
-calls.
+non-convergence; they return ``(value, error_bound, terms_used)``
+(``power_sum``, which sums a fixed number of terms, ``(value, tail_bound)``)
+with a rigorous truncation bound and leave policy to the calling module.
+Every series is summed by one driver, :func:`_sum_rows`, and every tail
+of the form sum_{m>n} m^s z^m is bounded by one geometric tail,
+:func:`_geometric_tail`.  ``closed_moment_sums`` and
+``oracle_moment_sums`` sum a whole curve, one triple per alpha; the
+other kernels are one-point sums.
 """
 
 from __future__ import annotations
@@ -65,30 +66,6 @@ def a_coeff_values(r: int, mu: float) -> list:
     return [float(c * scale) for c in coeffs]
 
 
-def lerch_sum(z: float, a: float, atol: float, max_terms: int):
-    """Direct summation of Phi(z, 1, a) = sum_n z^n / (a + n).
-
-    Stops once the geometric tail bound z^(N+1)/((a+N+1)(1-z)) falls
-    below ``atol``; if ``max_terms`` is exhausted first the returned
-    error bound simply stays above ``atol``.
-    """
-    z_ld = _LD(z)
-    a_ld = _LD(a)
-    inv_gap = _ONE / (_ONE - z_ld)
-    acc = _ZERO
-    zn = _ONE
-    n = 0
-    while True:
-        acc += zn / (a_ld + n)
-        zn *= z_ld
-        tail = zn / (a_ld + n + 1) * inv_gap
-        n += 1
-        if tail <= _LD(atol) or n >= max_terms:
-            break
-    err = tail + (_EPS_LD * (n + 4) + _DBL_EPS) * abs(acc)
-    return float(acc), float(err), n
-
-
 #: first block width in terms; each further block is twice as wide
 _FIRST_WIDTH = 16
 #: most rows x terms one block may hold, which bounds a call's memory: 64 KiB
@@ -112,8 +89,9 @@ def _sum_rows(rows: int, max_terms: int, block, state: list) -> np.ndarray:
     A row retires at its first passing term, or at exactly ``max_terms``
     terms; ``state`` then holds its values at that term.  The rows still
     running all have the same number of terms, so the alpha-independent
-    factors of a block are computed once for all of them.  Returns the
-    terms used per row.
+    factors of a block are computed once for all of them.  Blocks arrive
+    in order of their terms, so a block may carry a recurrence on from
+    the one before.  Returns the terms used per row.
     """
     terms = np.zeros(rows, dtype=np.int64)
     active = np.arange(rows)
@@ -147,8 +125,73 @@ def _powers(carry: np.ndarray, z: np.ndarray, width: int) -> tuple[np.ndarray, n
     return out[:, :-1], out[:, 1:]
 
 
+def _geometric_tail(n: np.ndarray, s: int, z, zn: np.ndarray) -> np.ndarray:
+    """Bound (n+1)^s z^(n+1) / (1 - rho) on sum_{m>n} m^s z^m, given zn = z^(n+1).
+
+    rho = ((n+2)/(n+1))^s z bounds the ratio of consecutive terms beyond
+    n, so the tail is geometric.  Where rho >= 1 the bound does not apply
+    and the tail is infinite.
+    """
+    ratio = np.ones_like(n)
+    bound = np.ones_like(n)
+    for _ in range(s):
+        ratio *= (n + 2) / (n + 1)
+        bound *= n + 1
+    rho = ratio * z
+    # the discarded quotient where rho >= 1 may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(rho < _ONE, bound * zn / (_ONE - rho), _LD(np.inf))
+
+
 def _results(value, err, terms) -> list:
     return list(zip(value.astype(float).tolist(), err.astype(float).tolist(), terms.tolist()))
+
+
+def lerch_sum(z: float, a: float, atol: float, max_terms: int):
+    """Direct summation of Phi(z, 1, a) = sum_n z^n / (a + n).
+
+    Stops once the geometric tail bound z^(N+1)/((a+N+1)(1-z)) falls
+    below ``atol``; if ``max_terms`` is exhausted first the returned
+    error bound simply stays above ``atol``.
+    """
+    z_ld = _LD(z)
+    a_ld = _LD(a)
+    inv_gap = _ONE / (_ONE - z_ld)
+    atol_ld = _LD(atol)
+    zn = np.ones(1, dtype=_LD)
+    acc = np.zeros(1, dtype=_LD)
+    tail = np.zeros(1, dtype=_LD)
+
+    def block(active, first, width):
+        den = a_ld + np.arange(first, first + width).astype(_LD)
+        zn_before, zns = _powers(zn[active], z_ld, width)
+        accs = _running_sum(acc[active], zn_before / den)
+        tails = zns / (den + _ONE) * inv_gap
+        return tails <= atol_ld, (zns, accs, tails)
+
+    n = int(_sum_rows(1, max_terms, block, [zn, acc, tail])[0])
+    err = tail[0] + (_EPS_LD * (n + 4) + _DBL_EPS) * abs(acc[0])
+    return float(acc[0]), float(err), n
+
+
+def power_sum(s: int, l: int, alpha: float, n_max: int):
+    """sum_{n=0}^{n_max} (n-l)^s z^n with its geometric tail bound: ``(value, tail)``."""
+    z = np.exp(-_LD(alpha))
+    zn = np.ones(1, dtype=_LD)
+    acc = np.zeros(1, dtype=_LD)
+
+    def block(active, first, width):
+        x = np.arange(first - l, first + width - l).astype(_LD)
+        p = np.ones(width, dtype=_LD)
+        for _ in range(s):
+            p *= x
+        zn_before, zns = _powers(zn[active], z, width)
+        accs = _running_sum(acc[active], p * zn_before)
+        return np.zeros((active.size, width), dtype=bool), (zns, accs)
+
+    _sum_rows(1, n_max + 1, block, [zn, acc])
+    tail = _geometric_tail(np.array([n_max], dtype=_LD), s, z, zn)
+    return float(acc[0]), float(tail[0])
 
 
 def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
@@ -218,20 +261,17 @@ def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
     return closed_moment_sums(mu, (alpha,), r, rtol, atol, max_terms)[0]
 
 
-def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
-                       max_terms: int) -> list:
-    """Brute-force moment (1-z) * sum_{n>=r} z^n * prod_{l<r} phi(n-l), per alpha.
+def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
+                 products) -> list:
+    """Brute-force moment (1-z) * sum_{n>=r} z^n * P(n), per alpha.
 
-    Independent of the partial-fraction machinery: each term is a direct
-    product of structure functions.  Terms with n < r vanish identically
-    (one factor is phi(0) = 0) and are skipped.  The tail is bounded by
-    n^r z^n handled geometrically: the next term is bounded by
-    (n+1)^r z^(n+1) and the term ratio by rho = ((n+2)/(n+1))^r z.  The
-    products, ((n+2)/(n+1))^r and (n+1)^r do not depend on alpha and are
-    computed once per block of terms.  Returns one
+    ``products(n)`` gives the alpha-independent product P(n) of r
+    structure functions for a block of consecutive ``n``; it must lie in
+    [0, n^r], so the tail after term n is bounded by the geometric tail
+    of n^r z^n.  Terms with n < r vanish identically (one factor is
+    the structure function at 0) and are skipped.  Returns one
     ``(value, error_bound, terms_used)`` per alpha.
     """
-    mu_ld = _LD(mu)
     z = np.exp(-np.asarray(alphas, dtype=_LD))
     gap = _ONE - z
     atol_ld, rtol_ld = _LD(atol), _LD(rtol)
@@ -244,31 +284,39 @@ def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
 
     def block(active, first, width):
         n = np.arange(r + first, r + first + width).astype(_LD)
-        prod = np.ones(width, dtype=_LD)
-        for l in range(r):
-            x = n - l
-            prod *= x / (_ONE + mu_ld * x)
-        ratio = np.ones(width, dtype=_LD)
-        bound = np.ones(width, dtype=_LD)
-        for _ in range(r):
-            ratio *= (n + 2) / (n + 1)
-            bound *= n + 1
         za = z[active, None]
         zn_before, zns = _powers(zn[active], za, width)
-        accs = _running_sum(acc[active], prod * zn_before)
-        rho = ratio * za
-        # where rho >= 1 the geometric bound does not apply and the tail is
-        # infinite; the discarded quotient there may divide by zero
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tails = np.where(rho < _ONE, bound * zns / (_ONE - rho), _LD(np.inf))
+        accs = _running_sum(acc[active], products(n) * zn_before)
+        tails = _geometric_tail(n, r, za, zns)
         g = gap[active, None]
         stop = g * tails <= np.fmax(atol_ld, rtol_ld * g * accs)
         return stop, (zns, accs, tails)
 
     terms = _sum_rows(z.size, max_terms, block, [zn, acc, tail])
     value = gap * acc
-    err = gap * tail + _EPS_LD * (2 * r + 8) * value + _DBL_EPS * value
+    err = gap * tail + _EPS_LD * (2 * r + 8) * abs(value) + _DBL_EPS * abs(value)
     return _results(value, err, terms)
+
+
+def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
+                       max_terms: int) -> list:
+    """Brute-force moment (1-z) * sum_{n>=r} z^n * prod_{l<r} phi(n-l), per alpha.
+
+    Independent of the partial-fraction machinery: each term is a direct
+    product of structure functions phi(x) = x / (1 + mu x) <= x, summed
+    by :func:`_oracle_sums`.  Returns one
+    ``(value, error_bound, terms_used)`` per alpha.
+    """
+    mu_ld = _LD(mu)
+
+    def products(n):
+        prod = np.ones(n.size, dtype=_LD)
+        for l in range(r):
+            x = n - l
+            prod *= x / (_ONE + mu_ld * x)
+        return prod
+
+    return _oracle_sums(alphas, r, rtol, atol, max_terms, products)
 
 
 def oracle_moment_sum(mu: float, alpha: float, r: int, rtol: float,
@@ -277,86 +325,34 @@ def oracle_moment_sum(mu: float, alpha: float, r: int, rtol: float,
     return oracle_moment_sums(mu, (alpha,), r, rtol, atol, max_terms)[0]
 
 
-def power_sum(s: int, l: int, alpha: float, n_max: int):
-    """sum_{n=0}^{n_max} (n-l)^s z^n with its geometric tail bound."""
-    z = np.exp(-_LD(alpha))
-    acc = _ZERO
-    zn = _ONE
-    for n in range(n_max + 1):
-        x = _LD(n - l)
-        p = _ONE
-        for _ in range(s):
-            p *= x
-        acc += p * zn
-        zn *= z
-    rho = _ONE
-    for _ in range(s):
-        rho *= _LD(n_max + 2) / _LD(n_max + 1)
-    rho *= z
-    if rho < _ONE:
-        bound = _ONE
-        for _ in range(s):
-            bound *= _LD(n_max + 1)
-        tail = bound * zn / (_ONE - rho)
-    else:
-        tail = _LD(np.inf)
-    return float(acc), float(tail)
-
-
 def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
                   atol: float, max_terms: int):
     """(1-z) * sum_{n>=r} z^n * prod_{l<r} [n-l]_{p,q} by direct summation.
 
     Basic numbers are generated with the exact three-term recurrence
     [n+1] = (p+q)[n] - pq[n-1], which is stable for p, q <= 1 and avoids
-    the cancellation of (p^n - q^n)/(p - q) at p close to q.
+    the cancellation of (p^n - q^n)/(p - q) at p close to q; it carries
+    on from one block of terms to the next.  Each product is taken in
+    window order, [n-r+1] up to [n].
     """
     p_ld = _LD(p)
     q_ld = _LD(q)
-    z = np.exp(-_LD(alpha))
-    gap = _ONE - z
     s_pq = p_ld + q_ld
     prod_pq = p_ld * q_ld
+    prev, cur = _ZERO, _ONE  # [k-1] and [k], the next basic number to use
+    window = np.empty(0, dtype=_LD)  # basic numbers made and still needed
 
-    window = [_ZERO] * r  # last r basic numbers, window[i] = [n - (r-1) + i]
-    window[0] = _ONE
-    b_prev = _ZERO  # [k-1]
-    b_cur = _ONE    # [k]
-    for i in range(1, r):
-        b_prev, b_cur = b_cur, s_pq * b_cur - prod_pq * b_prev
-        window[i] = b_cur
-
-    acc = _ZERO
-    zn = _ONE
-    for _ in range(r):
-        zn *= z
-    n = r
-    terms = 0
-    while True:
-        prod = _ONE
+    def products(n):
+        nonlocal prev, cur, window
+        basic = np.empty(n.size + r - 1, dtype=_LD)  # [n[0]-r+1] .. [n[-1]]
+        basic[:window.size] = window
+        for i in range(window.size, basic.size):
+            basic[i] = cur
+            prev, cur = cur, s_pq * cur - prod_pq * prev
+        window = basic[n.size:]
+        prod = np.ones(n.size, dtype=_LD)
         for i in range(r):
-            prod *= window[i]
-        acc += prod * zn
-        zn *= z
-        rho = _ONE
-        for _ in range(r):
-            rho *= _LD(n + 2) / _LD(n + 1)
-        rho *= z
-        if rho < _ONE:
-            bound = _ONE
-            for _ in range(r):
-                bound *= _LD(n + 1)
-            tail = bound * zn / (_ONE - rho)
-        else:
-            tail = _LD(np.inf)
-        n += 1
-        terms += 1
-        if gap * tail <= max(_LD(atol), _LD(rtol) * gap * acc) or terms >= max_terms:
-            break
-        b_prev, b_cur = b_cur, s_pq * b_cur - prod_pq * b_prev
-        for i in range(r - 1):
-            window[i] = window[i + 1]
-        window[r - 1] = b_cur
-    value = gap * acc
-    err = gap * tail + _EPS_LD * (2 * r + 8) * abs(value) + _DBL_EPS * abs(value)
-    return float(value), float(err), terms
+            prod *= basic[i:i + n.size]
+        return prod
+
+    return _oracle_sums((alpha,), r, rtol, atol, max_terms, products)[0]

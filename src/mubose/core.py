@@ -53,6 +53,10 @@ _TINY = math.ulp(0.0)
 #: safety margin applied to the closed-form conditioning estimate
 _CONDITION_SAFETY = 32.0
 
+#: largest bound-to-size ratio of lambda2, and of lambda3 - lambda2, at which
+#: the r3 bound is propagated linearly (see _check_linear)
+_R3_LINEAR = 2.0**-10
+
 #: relative tolerance for recognising 1/mu as an integer (pole of the
 #: defining series when that integer is <= r-1)
 _POLE_TOL = 1e-9
@@ -417,6 +421,28 @@ def _check_lambda2(l2: float, power: float, what: str) -> None:
         raise DomainError(f"{what} = {l2} underflows lambda2^{power}; r3 undefined")
 
 
+def _check_linear(lam2: CorrelationResult, lam3: CorrelationResult) -> None:
+    """The r3 bound is linear in the lambda bounds, which must be small.
+
+    r3 = lambda3 / (2 lambda2^(3/2)) - (3/2) lambda2^(-1/2) has the partial
+    derivatives 1 / (2 lambda2^(3/2)) and (3/4)(lambda2 - lambda3) / lambda2^(5/2).
+    By the mean value theorem the exact change of r3 over the box
+    |d lambda2| <= e2, |d lambda3| <= e3 is the linear bound with the
+    derivatives taken at some point of the box.  Where e2 <= t lambda2 and
+    e2 + e3 <= t |lambda3 - lambda2| they exceed their values at the centre
+    by at most the factor (1 - t)^(-5/2) (1 + t), below 1.0035 at
+    t = 2^-10, so the linear bound holds to within 0.35%.  Beyond that it
+    can fail by any factor: at mu = 1e100 the oracle's lambda2 is rounding
+    noise, its bound 68 times its value.
+    """
+    e2, e3 = lam2.error_bound, lam3.error_bound
+    if not (e2 <= _R3_LINEAR * lam2.value
+            and e2 + e3 <= _R3_LINEAR * abs(lam3.value - lam2.value)):
+        raise DomainError(
+            f"lambda2 = {lam2.value} +- {e2} and lambda3 = {lam3.value} +- {e3} are "
+            "too uncertain for a linear error bound; r3 undefined")
+
+
 def _r3_curve(d: DeformationMu | float, alphas: Sequence[float], tol: float,
               method: str = "auto") -> list[_Outcome]:
     """:func:`r3_function` at every alpha, failures in their slots as in :func:`_curve`."""
@@ -431,6 +457,7 @@ def _r3_curve(d: DeformationMu | float, alphas: Sequence[float], tol: float,
             continue
         try:
             _check_lambda2(lam2.value, 2.5, "lambda2")
+            _check_linear(lam2, lam3)
         except DomainError as exc:
             out[i] = exc
             continue

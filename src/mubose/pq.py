@@ -86,12 +86,14 @@ def pq_factorial(r: int, pq: PQParams) -> float:
     return out
 
 
-def _denominator_factors(pq: PQParams, z: float, r: int) -> list[float]:
-    factors = []
-    for j in range(r + 1):
-        w = pq.p**j * pq.q ** (r - j)
-        factors.append(1.0 - w * z)
-    return factors
+def _one_minus(log_c: float, alpha: float) -> float:
+    """1 - c e^(-alpha), formed as -expm1(ln c - alpha).
+
+    This keeps the factor to a few units of roundoff even where c e^(-alpha)
+    is close to 1 (small alpha), where 1 - c z by subtraction would lose
+    digits.
+    """
+    return -math.expm1(log_c - alpha)
 
 
 def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
@@ -99,18 +101,18 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
 
     Computed in the equivalent z = e^(-alpha) form
     [r]! (1-z) z^r / prod_j (1 - p^j q^(r-j) z), which underflows
-    gracefully at large alpha instead of overflowing e^alpha.
+    gracefully at large alpha instead of overflowing e^alpha.  Every
+    factor 1 - c z, 1 - z included, is formed by :func:`_one_minus`.
     """
     _check_alpha(alpha)
     _check_order(r)
+    log_p, log_q = math.log(pq.p), math.log(pq.q)
     z = math.exp(-alpha)
-    value = pq_factorial(r, pq) * (1.0 - z)
+    value = pq_factorial(r, pq) * _one_minus(0.0, alpha)
     for n in range(r):
         value *= z
-    for f in _denominator_factors(pq, z, r):
-        if f <= 0.0:
-            raise DomainError(f"denominator factor {f} is not positive")
-        value /= f
+    for j in range(r + 1):
+        value /= _one_minus(j * log_p + (r - j) * log_q, alpha)
     return value
 
 
@@ -131,10 +133,8 @@ def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult
     Uses the cancelled closed form
     [r]! (1-pz)^r (1-qz)^r / ((1-z)^(r-1) prod_{j=0}^{r} (1 - p^j q^(r-j) z)) - 1,
     algebraically identical to the moment ratio but free of the z^r
-    underflow at large alpha.  Every factor 1 - c z is formed as
-    -expm1(ln c - alpha), which keeps it to a few units of roundoff even
-    where c z is close to 1 (small alpha), where 1 - c z by subtraction
-    would lose digits.  With u the double unit roundoff, each factor
+    underflow at large alpha.  Every factor 1 - c z is formed by
+    :func:`_one_minus`.  With u the double unit roundoff, each factor
     then carries a relative error of at most 7u (log, product and
     difference 5u, expm1 2u), the factorial 2r(r+1)u, and the
     4r + 1 products and one quotient one u each; the bound sums them
@@ -144,22 +144,18 @@ def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult
     _check_alpha(alpha)
     _check_order(r, minimum=2)
     log_p, log_q = math.log(pq.p), math.log(pq.q)
-
-    def one_minus(log_c: float) -> float:
-        return -math.expm1(log_c - alpha)
-
     num = pq_factorial(r, pq)
-    pz = one_minus(log_p)
-    qz = one_minus(log_q)
+    pz = _one_minus(log_p, alpha)
+    qz = _one_minus(log_q, alpha)
     for _ in range(r):
         num *= pz
         num *= qz
     den = 1.0
-    gap = one_minus(0.0)
+    gap = _one_minus(0.0, alpha)
     for _ in range(r - 1):
         den *= gap
     for j in range(r + 1):
-        den *= one_minus(j * log_p + (r - j) * log_q)
+        den *= _one_minus(j * log_p + (r - j) * log_q, alpha)
     ratio = num / den
     value = ratio - 1.0
     unit = DBL_EPS / 2.0

@@ -6,6 +6,7 @@ from pathlib import Path
 import mubose
 from mubose import _kernels_py
 from mubose._backend import kernels
+from mubose.errors import MAX_TERMS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,3 +30,28 @@ def test_active_backend_is_labelled():
 
 def test_long_double_eps_exposed():
     assert 0.0 < kernels.EPS <= 2.3e-16
+
+
+#: one call of each kernel that returns a term count, its budget last
+COUNTED_CALLS = {
+    "lerch_sum": (0.5, 1.5, 1e-12),
+    "closed_moment_sum": (0.1, 1.0, 2, 1e-13, 0.0),
+    "oracle_moment_sum": (0.1, 1.0, 2, 1e-13, 0.0),
+    "pq_oracle_sum": (0.9, 0.7, 1.0, 2, 1e-13, 0.0),
+}
+
+
+def test_kernel_return_shapes():
+    # the benchmark reads the term count as out[2], and n_max + 1 for power_sum
+    out = kernels.power_sum(2, 1, 0.5, 40)
+    assert type(out) is tuple and len(out) == 2
+    assert all(type(x) is float for x in out)
+    assert set(COUNTED_CALLS) | {"power_sum", "a_coeff_values"} == set(_benchmark_kernel_names())
+    for name, args in COUNTED_CALLS.items():
+        out = getattr(kernels, name)(*args, MAX_TERMS)
+        assert type(out) is tuple and len(out) == 3, name
+        value, err, terms = out
+        assert type(value) is float and type(err) is float and type(terms) is int, name
+        assert 7 < terms < MAX_TERMS, name
+        # stopped on its budget, a sum reports exactly that many terms
+        assert getattr(kernels, name)(*args, 7)[2] == 7, name

@@ -361,6 +361,12 @@ class TestEndToEnd:
         assert out.returncode == 1
         assert out.stderr.startswith("domain error:") and "Traceback" not in out.stderr
 
+    def test_uncertain_lambda2(self):
+        # lambda2 is rounding noise at mu = 1e100: no r3 row with a failing bound
+        out = run_cli("r3", "--mu", "1e100", "--oracle")
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith("domain error:") and "r3 undefined" in out.stderr
+
     def test_console_script_entry_point(self):
         # The target comes from pyproject.toml, so a checkout run with
         # PYTHONPATH=src checks the declared script without installing it.

@@ -303,6 +303,13 @@ class TestR3:
         with pytest.raises(DomainError, match="r3 undefined"):
             r3_function(1e300, 1.163, method="oracle")
 
+    def test_uncertain_lambda2_is_a_domain_error(self):
+        # at mu = 1e100 the oracle's lambda2 is rounding noise with a bound 68
+        # times itself; linear propagation printed -1.0e8 +- 3.7e9 against a
+        # true r3 of -5.32e49
+        with pytest.raises(DomainError, match="too uncertain.*r3 undefined"):
+            r3_function(1e100, 1.0, method="oracle")
+
     def test_asymptote_at_large_mu(self):
         # lambda2 = 1/(1+2mu) and lambda3 = (5+7mu)/((1+2mu)(1+3mu)) stay
         # positive doubles at mu = 1e100, where r3 ~ -(2^1.5/6) sqrt(mu)

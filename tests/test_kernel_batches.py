@@ -1,8 +1,11 @@
-"""Batched moment kernels against the term-by-term loops they replace.
+"""Block-summed kernels against the term-by-term loops they replace.
 
 ``_closed_loop`` and ``_oracle_loop`` are the one-alpha-at-a-time loops
-of the pure-Python backend before it summed whole curves.  The batched
-kernels must reproduce them bit for bit, value, bound and term count.
+of the pure-Python backend before it summed whole curves; ``_lerch_loop``,
+``_power_loop`` and ``_pq_oracle_loop`` are the loops of ``lerch_sum``,
+``power_sum`` and ``pq_oracle_sum`` before they moved onto the block
+driver.  The kernels must reproduce them bit for bit, value, bound and
+term count.
 """
 
 import math
@@ -96,6 +99,101 @@ def _oracle_loop(mu, alpha, r, rtol, atol, max_terms):
     return float(value), float(err), terms
 
 
+
+def _lerch_loop(z, a, atol, max_terms):
+    z_ld = _LD(z)
+    a_ld = _LD(a)
+    inv_gap = _ONE / (_ONE - z_ld)
+    acc = _ZERO
+    zn = _ONE
+    n = 0
+    while True:
+        acc += zn / (a_ld + n)
+        zn *= z_ld
+        tail = zn / (a_ld + n + 1) * inv_gap
+        n += 1
+        if tail <= _LD(atol) or n >= max_terms:
+            break
+    err = tail + (_EPS_LD * (n + 4) + _DBL_EPS) * abs(acc)
+    return float(acc), float(err), n
+
+
+def _power_loop(s, l, alpha, n_max):
+    z = np.exp(-_LD(alpha))
+    acc = _ZERO
+    zn = _ONE
+    for n in range(n_max + 1):
+        x = _LD(n - l)
+        p = _ONE
+        for _ in range(s):
+            p *= x
+        acc += p * zn
+        zn *= z
+    rho = _ONE
+    for _ in range(s):
+        rho *= _LD(n_max + 2) / _LD(n_max + 1)
+    rho *= z
+    if rho < _ONE:
+        bound = _ONE
+        for _ in range(s):
+            bound *= _LD(n_max + 1)
+        tail = bound * zn / (_ONE - rho)
+    else:
+        tail = _LD(np.inf)
+    return float(acc), float(tail)
+
+
+def _pq_oracle_loop(p, q, alpha, r, rtol, atol, max_terms):
+    p_ld = _LD(p)
+    q_ld = _LD(q)
+    z = np.exp(-_LD(alpha))
+    gap = _ONE - z
+    s_pq = p_ld + q_ld
+    prod_pq = p_ld * q_ld
+
+    window = [_ZERO] * r  # last r basic numbers, window[i] = [n - (r-1) + i]
+    window[0] = _ONE
+    b_prev = _ZERO  # [k-1]
+    b_cur = _ONE    # [k]
+    for i in range(1, r):
+        b_prev, b_cur = b_cur, s_pq * b_cur - prod_pq * b_prev
+        window[i] = b_cur
+
+    acc = _ZERO
+    zn = _ONE
+    for _ in range(r):
+        zn *= z
+    n = r
+    terms = 0
+    while True:
+        prod = _ONE
+        for i in range(r):
+            prod *= window[i]
+        acc += prod * zn
+        zn *= z
+        rho = _ONE
+        for _ in range(r):
+            rho *= _LD(n + 2) / _LD(n + 1)
+        rho *= z
+        if rho < _ONE:
+            bound = _ONE
+            for _ in range(r):
+                bound *= _LD(n + 1)
+            tail = bound * zn / (_ONE - rho)
+        else:
+            tail = _LD(np.inf)
+        n += 1
+        terms += 1
+        if gap * tail <= max(_LD(atol), _LD(rtol) * gap * acc) or terms >= max_terms:
+            break
+        b_prev, b_cur = b_cur, s_pq * b_cur - prod_pq * b_prev
+        for i in range(r - 1):
+            window[i] = window[i + 1]
+        window[r - 1] = b_cur
+    value = gap * acc
+    err = gap * tail + _EPS_LD * (2 * r + 8) * abs(value) + _DBL_EPS * abs(value)
+    return float(value), float(err), terms
+
 ALPHAS = (1e-3, 0.05, 0.3, 0.8, 1.163, 2.5, 8.4, 40.0)
 
 #: alpha grids of the figure presets: 1001 momenta at T = 120 and 180 MeV
@@ -182,3 +280,85 @@ def test_rows_beyond_the_block_cap():
         parts = batch(0.1, alphas[:1000], 2, 1e-13, 0.0, 10**8) + batch(
             0.1, alphas[1000:], 2, 1e-13, 0.0, 10**8)
         assert whole == parts
+
+
+#: z -> 1 (alpha = 1e-3): sums of 24,000 to 31,000 terms, over many blocks
+Z_NEAR_ONE = math.exp(-1e-3)
+
+
+class TestLerchSum:
+    @pytest.mark.parametrize("z", [0.0, 0.3, 0.9, Z_NEAR_ONE])
+    def test_matches_loop(self, z):
+        for a in (0.5, 1.0, 8.0, 1e3):
+            for atol in (1e-12, 1e-15):
+                assert kp.lerch_sum(z, a, atol, 10**8) == _lerch_loop(z, a, atol, 10**8)
+
+    def test_absolute_tolerance(self):
+        for z in (0.5, 0.99, Z_NEAR_ONE):
+            assert kp.lerch_sum(z, 2.0, 1e-3, 10**8) == _lerch_loop(z, 2.0, 1e-3, 10**8)
+
+    @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
+    def test_exhausted_budget(self, max_terms):
+        want = _lerch_loop(0.99, 1.5, 1e-15, max_terms)
+        assert kp.lerch_sum(0.99, 1.5, 1e-15, max_terms) == want
+        assert want[2] == max_terms
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
+    def test_matches_loop(self, s):
+        for l in (0, 1, 3):
+            for alpha in (0.05, 1.0, 3.0):
+                for n_max in (l + 1, 60, 700):
+                    assert kp.power_sum(s, l, alpha, n_max) == _power_loop(s, l, alpha, n_max)
+
+    @pytest.mark.parametrize("terms", [1, 5, 16, 37])
+    def test_term_budgets(self, terms):
+        for s, l in ((0, 0), (3, 2)):
+            assert kp.power_sum(s, l, 0.1, terms - 1) == _power_loop(s, l, 0.1, terms - 1)
+
+    def test_longer_than_a_block(self):
+        assert kp.power_sum(3, 1, 1e-3, 25000) == _power_loop(3, 1, 1e-3, 25000)
+
+    def test_divergent_ratio(self):
+        # rho >= 1 at the last term: the tail is infinite and no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, tail = kp.power_sum(8, 0, 0.5, 3)
+        assert (acc, tail) == _power_loop(8, 0, 0.5, 3) and tail == math.inf
+
+
+#: (p, q): the undeformed p = q = 1, p = q < 1 and p > q
+PQ_PAIRS = [(1.0, 1.0), (0.8, 0.8), (0.9, 0.7), (0.95, 0.5)]
+
+
+class TestPQOracleSum:
+    @pytest.mark.parametrize("p, q", PQ_PAIRS)
+    def test_matches_loop(self, p, q):
+        for r in (1, 2, 3, 5):
+            for alpha in (0.05, 0.5, 3.0, 40.0, 1e5):
+                want = _pq_oracle_loop(p, q, alpha, r, 1e-13, 0.0, 10**8)
+                assert kp.pq_oracle_sum(p, q, alpha, r, 1e-13, 0.0, 10**8) == want
+
+    def test_z_underflows_to_zero(self):
+        # at alpha = 1e5 the long-double z is exactly 0: one term, value 0
+        assert np.exp(-_LD(1e5)) == 0
+        assert kp.pq_oracle_sum(0.9, 0.7, 1e5, 3, 1e-13, 0.0, 10**8) == (0.0, 0.0, 1)
+
+    @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
+    def test_exhausted_budget(self, max_terms):
+        for r in (1, 3):
+            want = _pq_oracle_loop(0.9, 0.7, 0.01, r, 1e-13, 0.0, max_terms)
+            assert kp.pq_oracle_sum(0.9, 0.7, 0.01, r, 1e-13, 0.0, max_terms) == want
+            assert want[2] == max_terms
+
+    def test_absolute_tolerance(self):
+        want = _pq_oracle_loop(0.9, 0.7, 0.2, 2, 1e-15, 1e-6, 10**8)
+        assert kp.pq_oracle_sum(0.9, 0.7, 0.2, 2, 1e-15, 1e-6, 10**8) == want
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.9, 0.7)])
+    def test_longer_than_a_block(self, p, q):
+        # thousands of terms: the recurrence carries across blocks
+        want = _pq_oracle_loop(p, q, 7.5e-3, 3, 1e-13, 0.0, 10**8)
+        assert want[2] > kp._BLOCK_CELLS
+        assert kp.pq_oracle_sum(p, q, 7.5e-3, 3, 1e-13, 0.0, 10**8) == want

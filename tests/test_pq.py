@@ -95,6 +95,20 @@ class TestMoment:
                     oracle = pq_oracle_moment(params, alpha, r).value
                     assert closed == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1e-2, 1e-6, 1e-10, 1e-13])
+    def test_small_alpha_precision(self, alpha):
+        # 1 - z and 1 - c z by subtraction lost digits as 1/alpha: a relative
+        # error of 8.3e-8 at alpha = 1e-10 and 3.1e-4 at 1e-13
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            p, q, z = mp.mpf(0.9), mp.mpf(0.7), mp.exp(-mp.mpf(alpha))
+            want = (p + q) * (1 - z) * z**2  # [2]! = p + q
+            for j in range(3):
+                want /= 1 - p**j * q ** (2 - j) * z
+            got = pq_moment(PQParams(0.9, 0.7), alpha, 2)
+            # a few dozen roundoffs
+            assert abs(got - want) <= 1e-14 * want
+
     def test_domain(self):
         with pytest.raises(DomainError):
             pq_moment(PQParams(0.9, 0.7), 0.0, 2)
