@@ -426,13 +426,14 @@ def _check_linear(lam2: CorrelationResult, lam3: CorrelationResult) -> None:
 
     r3 = lambda3 / (2 lambda2^(3/2)) - (3/2) lambda2^(-1/2) has the partial
     derivatives 1 / (2 lambda2^(3/2)) and (3/4)(lambda2 - lambda3) / lambda2^(5/2).
-    By the mean value theorem the exact change of r3 over the box
-    |d lambda2| <= e2, |d lambda3| <= e3 is the linear bound with the
-    derivatives taken at some point of the box.  Where e2 <= t lambda2 and
-    e2 + e3 <= t |lambda3 - lambda2| they exceed their values at the centre
-    by at most the factor (1 - t)^(-5/2) (1 + t), below 1.0035 at
-    t = 2^-10, so the linear bound holds to within 0.35%.  Beyond that it
-    can fail by any factor: at mu = 1e100 the oracle's lambda2 is rounding
+    By the mean value theorem the change of r3 to any point of the box
+    |d lambda2| <= e2, |d lambda3| <= e3 is the linear form with the
+    derivatives taken somewhere in the box, so it is at most the linear
+    bound times the largest ratio of a derivative there to its value at
+    the centre.  Where e2 <= t lambda2 and e2 + e3 <= t |lambda3 - lambda2|
+    that ratio is at most (1 - t)^(-5/2) (1 + t), below 1.0035 at
+    t = 2^-10: the linear bound holds to within 0.35%.  Beyond that it can
+    fail by any factor: at mu = 1e100 the oracle's lambda2 is rounding
     noise, its bound 68 times its value.
     """
     e2, e3 = lam2.error_bound, lam3.error_bound
