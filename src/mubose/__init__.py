@@ -18,7 +18,6 @@ from .core import (
     CorrelationResult,
     DeformationMu,
     ThermoPoint,
-    closed_form_admissible,
     intercept,
     intercept_asymptotic,
     mean_occupation,
@@ -75,7 +74,6 @@ __all__ = [
     "a_coeffs",
     "backend_name",
     "c_coeff",
-    "closed_form_admissible",
     "divergence_diagnostic",
     "expansion_residual",
     "g_coeff",

@@ -57,13 +57,45 @@ def _a_tilde(mu: _LD, r: int) -> list:
 
 
 def a_coeff_values(r: int, mu: float) -> list:
-    """Partial-fraction coefficients A_l(mu), l = 0..r-1, as floats."""
+    """Partial-fraction coefficients A_l(mu), l = 0..r-1, as floats.
+
+    A coefficient beyond the long-double or double range comes back as
+    an infinity or a nan, without a warning; the caller rejects it.
+    """
     mu_ld = _LD(mu)
-    coeffs = _a_tilde(mu_ld, r)
-    scale = _ONE
-    for _ in range(r - 1):
-        scale /= mu_ld
-    return [float(c * scale) for c in coeffs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _a_tilde(mu_ld, r)
+        scale = _ONE
+        for _ in range(r - 1):
+            scale /= mu_ld
+        return [float(c * scale) for c in coeffs]
+
+
+def closed_condition(mu: float, r: int) -> float:
+    """Cancellation factor of the first term of :func:`closed_moment_sums`.
+
+    The first term is known exactly: -mu^(2-2r) S_r = [r]_mu! =
+    prod_{j<=r} j / (1 + mu j), because the moment starts as z^r [r]_mu!.
+    The factor is mu^(2-2r) sum_l |Atilde_l| / ((1+mu(r-l))(1+mu(r-l-1)))
+    over [r]_mu!, the first term's ratio of ``abs_acc`` to the value.  It
+    is infinite where mu^(2-2r) or a coefficient leaves the long-double
+    range, since the kernel cannot form the sum there, and where the
+    factor itself leaves the double range.
+    """
+    mu_ld = _LD(mu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs = _a_tilde(mu_ld, r)
+        s_abs = _ZERO
+        for l in range(r):
+            s_abs += abs(coeffs[l]) / ((_ONE + mu_ld * (r - l)) * (_ONE + mu_ld * (r - l - 1)))
+        scale = _ONE
+        for _ in range(2 * r - 2):
+            scale /= mu_ld
+        factorial = _ONE
+        for j in range(1, r + 1):
+            factorial *= _LD(j) / (_ONE + mu_ld * j)
+        kappa = float(scale * s_abs / factorial)
+    return kappa if scale > _ZERO and np.isfinite(kappa) else np.inf
 
 
 #: first block width in terms; each further block is twice as wide
@@ -206,12 +238,24 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
         M_r = -mu^(2-2r) * sum_{m>=r} z^m S_m,
         S_m = sum_{l<r} Atilde_l / ((1+mu(m-l)) (1+mu(m-l-1))),
 
-    with Atilde_l = mu^(r-1) A_l the rescaled coefficients.  The
-    rearrangement is an identity of the printed closed form; without it
-    the assembly loses all significance once z^r is below roundoff.
-    S_m and the tail denominators do not depend on alpha and are
-    computed once per block of terms.  Returns one
+    with Atilde_l = mu^(r-1) A_l the rescaled coefficients.  Without the
+    rearrangement the assembly loses all significance once z^r is below
+    roundoff.  S_m and the tail denominators do not depend on alpha and
+    are computed once per block of terms.  Returns one
     ``(value, error_bound, terms_used)`` per alpha.
+
+    The sum equals the defining series for every mu > 0.  The product
+    P(n) = prod_{l<r} phi(n-l) is a rational function of n whose
+    denominator has the simple roots n = l - 1/mu, distinct for distinct
+    l, so P(n) = mu^-r (1 + sum_l A_l / (1 + mu(n-l))) with every A_l
+    finite.  Differencing that expansion gives
+    P(m) - P(m-1) = -mu^(2-2r) S_m.  At m = r-1 every factor has
+    n - l >= 0, so no denominator vanishes and P(r-1) = phi(0) ... = 0.
+    Summation by parts of the bounded P then turns the series
+    (1-z) sum_{n>=r} z^n P(n), whose terms n < r vanish, into
+    sum_{m>=r} z^m (P(m) - P(m-1)).  Every denominator of S_m has
+    m - l - 1 >= 0, so none vanishes.  The bound mu < 1/(r-1) belongs only
+    to the printed form Phi(z, 1, 1/mu - l), whose shift must be positive.
     """
     mu_ld = _LD(mu)
     z = np.exp(-np.asarray(alphas, dtype=_LD))

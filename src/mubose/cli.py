@@ -151,14 +151,6 @@ def _intercept_quantity(r: int) -> str:
     return "lambda_r"
 
 
-def _require_admissible(mu: float, r: int, allow_oracle: bool) -> None:
-    if r >= 2 and mu > 0.0 and not core.closed_form_admissible(mu, r) and not allow_oracle:
-        raise DomainError(
-            f"mu={mu:g} is outside the closed-form domain mu < {1.0 / (r - 1):g} "
-            f"for r={r}; pass --oracle to evaluate through the series oracle"
-        )
-
-
 def figure_records(preset: str, grid: GridSpec,
                    allow_oracle: bool = False) -> tuple[list[OutputRecord], int]:
     """Rows behind one figure preset; returns (records, number_of_failures).
@@ -195,7 +187,6 @@ def intercept_records(mu: float, T: float, k: float, mass: float, r: int,
                       tol: float, with_oracle: bool = False,
                       force_oracle: bool = False) -> list[OutputRecord]:
     """Single-point intercept, optionally with the oracle cross-check rows."""
-    _require_admissible(mu, r, force_oracle)
     alpha = _alpha(T, k, mass)
     method = "oracle" if force_oracle else "auto"
     res = core.intercept(mu, alpha, r, tol, method)
@@ -215,7 +206,6 @@ def distribution_records(mu: float, T: float, k: float, mass: float,
 def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
                force_oracle: bool = False) -> list[OutputRecord]:
     """The r3 combination at one point plus its asymptote row."""
-    _require_admissible(mu, 3, force_oracle)
     alpha = _alpha(T, k, mass)
     method = "oracle" if force_oracle else "auto"
     res = core.r3_function(mu, alpha, tol, method)

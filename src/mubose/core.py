@@ -26,7 +26,6 @@ from .errors import (
     MAX_TERMS,
     ConvergenceError,
     DomainError,
-    PoleError,
     _check_alpha,
     _check_mu,
     _check_order,
@@ -50,16 +49,12 @@ UNDERFLOW_FLOOR = 1e-280
 #: smallest positive double, the absolute error of a rounding that underflows
 _TINY = math.ulp(0.0)
 
-#: safety margin applied to the closed-form conditioning estimate
-_CONDITION_SAFETY = 32.0
+#: safety margin applied to the closed-form roundoff estimate
+_CONDITION_SAFETY = 2.0
 
 #: largest bound-to-size ratio of lambda2, and of lambda3 - lambda2, at which
 #: the r3 bound is propagated linearly (see _check_linear)
 _R3_LINEAR = 2.0**-10
-
-#: relative tolerance for recognising 1/mu as an integer (pole of the
-#: defining series when that integer is <= r-1)
-_POLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,47 +122,19 @@ def mu_factorial(r: int, mu: float) -> float:
     return out
 
 
-def closed_form_admissible(mu: float, r: int) -> bool:
-    """True when the Lerch closed form is defined: mu < 1/(r-1) for r >= 2."""
-    if r < 2 or mu == 0.0:
-        return True
-    return mu < 1.0 / (r - 1)
-
-
-def _closed_condition(mu: float, r: int) -> float:
-    """Cancellation amplification of the closed-form sum, ~mu^(2-2r).
-
-    A power beyond the double range (mu near 0) is infinitely ill
-    conditioned, so the closed form is never chosen there.
-    """
-    if r < 2:
-        return 1.0
-    try:
-        scale = mu ** (2 - 2 * r)
-    except OverflowError:
-        return math.inf
-    kappa = scale * 2.0 ** (r - 1) / (math.factorial(r - 1) * math.factorial(r))
-    return max(kappa, 1.0)
-
-
-def _closed_is_reliable(mu: float, r: int, rtol: float) -> bool:
-    return _closed_condition(mu, r) * kernels.EPS * _CONDITION_SAFETY <= rtol
-
-
-def _series_pole(mu: float, r: int) -> bool:
-    """Defining series has a pole when 1/mu is an integer <= r - 1."""
-    if mu <= 0.0 or r < 2:
-        return False
-    inv = 1.0 / mu
-    nearest = round(inv)
-    return 1 <= nearest <= r - 1 and abs(inv - nearest) <= _POLE_TOL * inv
-
-
 def _route(kind: str, mu: float, r: int, tol: float, method: str) -> bool | None:
     """Route of a whole curve: True closed form, False oracle, None exact (mu = 0).
 
-    It depends only on (kind, mu, r, tol, method), so a curve decides it
-    once.  The DomainError or PoleError raised here concerns every point.
+    Both routes hold for every mu > 0.  The kernel bounds the closed
+    form's roundoff by EPS (2r+6) times its sum of absolute terms, and
+    the first term's ratio of that sum to the value,
+    ``kernels.closed_condition``, estimates the ratio of the whole sum.
+    ``auto`` takes the closed form wherever that estimate puts the
+    roundoff within half of ``tol``, and the oracle elsewhere;
+    :func:`oracle_moment` always takes the oracle.  A forced closed form
+    whose estimate is infinite cannot be formed and raises.  The route
+    depends only on (kind, mu, r, tol, method), so a curve decides it
+    once, and the DomainError raised here concerns every point.
     """
     if kind == "mean":
         _check_tol(tol)
@@ -175,56 +142,44 @@ def _route(kind: str, mu: float, r: int, tol: float, method: str) -> bool | None
     _check_order(r, minimum=2 if kind == "intercept" else 1)
     _check_tol(tol)
     if kind == "series":
-        if _series_pole(mu, r):
-            raise PoleError(
-                f"1/mu = {1.0 / mu:.6g} is an integer <= r-1 = {r - 1}; "
-                "the defining series has a pole"
-            )
         return False
     if kind == "intercept" and method not in ("auto", "closed", "oracle"):
         raise DomainError(f"unknown method {method!r}")
     if mu == 0.0:
         return None
-    admissible = closed_form_admissible(mu, r)
-    if kind == "moment":
-        if not admissible:
-            raise DomainError(
-                f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
-                f"got mu={mu}; use oracle_moment instead"
-            )
-        return _closed_is_reliable(mu, r, tol)
-    if method == "closed" and not admissible:
-        raise DomainError(
-            f"closed form requires mu < 1/(r-1) = {1.0 / (r - 1)} for r={r}, "
-            f"got mu={mu}"
-        )
-    use_closed = method == "closed" or (
-        method == "auto" and admissible and _closed_is_reliable(mu, r, tol)
-    )
-    if not use_closed and _series_pole(mu, r):
-        raise PoleError(
-            f"1/mu = {1.0 / mu:.6g} is an integer <= r-1 = {r - 1}; "
-            "the defining series has a pole and no evaluation route exists"
-        )
-    return use_closed
+    if method == "oracle":
+        return False
+    kappa = kernels.closed_condition(mu, r)
+    if method == "closed":
+        if kappa == math.inf:
+            raise DomainError(f"the closed form at mu={mu}, r={r} cancels beyond the "
+                              "double range; use the oracle")
+        return True
+    return kappa * kernels.EPS * (2 * r + 6) * _CONDITION_SAFETY <= tol
 
 
 def _sums(mu: float, alphas: list[float], r: int, rtol: float,
           closed: bool) -> list[tuple[float, float] | ConvergenceError]:
     """(value, error) of the r-th moment at each alpha in one kernel call.
 
-    A point whose sum used the whole term budget gets its ConvergenceError.
+    A sum also stops once its tail is below ``_TINY``, which no double
+    result can resolve: a moment below the long-double range sums to 0,
+    so no relative test could stop it.  Each bound adds ``_TINY``, the
+    absolute error of a value that underflows as it is rounded to a
+    double.  A point whose sum used the whole term budget gets its
+    ConvergenceError.
     """
     if closed:
-        summed = kernels.closed_moment_sums(mu, alphas, r, rtol, 0.0, MAX_TERMS)
+        summed = kernels.closed_moment_sums(mu, alphas, r, rtol, _TINY, MAX_TERMS)
         what = "closed-form moment"
     else:
-        summed = kernels.oracle_moment_sums(mu, alphas, r, rtol, 0.0, MAX_TERMS)
+        summed = kernels.oracle_moment_sums(mu, alphas, r, rtol, _TINY, MAX_TERMS)
         what = "oracle moment"
     out: list[tuple[float, float] | ConvergenceError] = []
     for alpha, point in zip(alphas, summed):
         try:
-            out.append(_converged(point, MAX_TERMS, what, mu=mu, alpha=alpha, r=r))
+            value, err = _converged(point, MAX_TERMS, what, mu=mu, alpha=alpha, r=r)
+            out.append((value, err + _TINY))
         except ConvergenceError as exc:
             out.append(exc)
     return out
@@ -263,8 +218,9 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
     ``"intercept"`` (:func:`intercept`).  Each series is summed for all
     points in one kernel call.  An invalid mu raises.  Every other
     failure is returned in the slot of its point, in the precedence of a
-    one-point call: an invalid alpha, then the route's DomainError or
-    PoleError, then the point's ConvergenceError.
+    one-point call: an invalid alpha, then the route's DomainError (an
+    invalid order, tolerance or method), then the point's
+    ConvergenceError.  Every mu > 0 has a value on both routes.
     """
     mu = _as_mu(d)
     out: list = [None] * len(alphas)
@@ -348,10 +304,10 @@ def r_moment(d: DeformationMu | float, alpha: float, r: int,
              tol: float = DEFAULT_TOL) -> CorrelationResult:
     """Normalised r-th moment <(a+)^r a^r>.
 
-    Uses the partial-fraction/Lerch closed form whenever it is both
-    defined (mu < 1/(r-1)) and well conditioned at the requested
-    tolerance; otherwise the direct series takes over and the result is
-    tagged ``oracle``.  mu = 0 is exactly r! / (e^alpha - 1)^r.
+    Uses the partial-fraction/Lerch closed form, which holds for every
+    mu > 0, wherever it is well conditioned at the requested tolerance;
+    otherwise the direct series takes over and the result is tagged
+    ``oracle``.  mu = 0 is exactly r! / (e^alpha - 1)^r.
     """
     return _point(_curve("moment", d, (alpha,), r, tol))
 
@@ -386,10 +342,10 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
     Parameters
     ----------
     method : {"auto", "closed", "oracle"}
-        ``auto`` prefers the closed form and falls back to the series
-        oracle when the closed form is undefined or too ill-conditioned
-        for ``tol``; ``closed`` and ``oracle`` force one route (the
-        forced closed route still requires mu < 1/(r-1)).
+        ``auto`` takes the closed form, which holds for every mu > 0,
+        wherever it is well conditioned for ``tol`` and the series oracle
+        elsewhere; ``closed`` and ``oracle`` force one route, for
+        cross-checks.
 
     Notes
     -----

@@ -42,10 +42,17 @@ class ACoefficients:
 
 
 def a_coeffs(r: int, mu: float) -> ACoefficients:
-    """Evaluate the partial-fraction coefficients at a concrete mu > 0."""
+    """Evaluate the partial-fraction coefficients at a concrete mu > 0.
+
+    A coefficient that is not a finite double (A_l grows like mu^(1-r)
+    as mu -> 0, and its recurrence overflows at huge mu) raises
+    DomainError.
+    """
     _check_order(r)
     _check_mu_positive(mu)
     values = kernels.a_coeff_values(r, mu)
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"A^({r})_l at mu={mu} lie beyond the double range")
     return ACoefficients(order=r, mu=mu, values=tuple(values))
 
 

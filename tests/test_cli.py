@@ -68,6 +68,13 @@ class TestCoeffs:
         assert main(["coeffs", "--order", "0", "--mu", "0.5"]) == 1
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order, mu", [("3", "1e-200"), ("64", "1e-300"), ("64", "1e300")])
+    def test_coefficients_beyond_double_range(self, capsys, order, mu):
+        assert main(["coeffs", "--order", order, "--mu", mu]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beyond the double range" in captured.err
+
 
 class TestIntercept:
     def test_undeformed_point(self, capsys):
@@ -94,11 +101,14 @@ class TestIntercept:
         assert abs(float(rows[2]["value"])) <= 1e-9 * abs(oracle)
 
     def test_inadmissible_mu_is_guarded(self, capsys):
+        # mu >= 1/(r-1) needs no --oracle: the closed form holds there and
+        # agrees with the oracle within the difference row's bound
         code = main(["intercept", "--mu", "0.6", "--temperature", "120",
-                     "-k", "0", "--order", "3"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "0.5" in err and "--oracle" in err
+                     "-k", "0", "--order", "3", "--with-oracle"])
+        assert code == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [r["method"] for r in rows] == ["closed_form", "oracle", "difference"]
+        assert abs(float(rows[2]["value"])) <= float(rows[2]["error_bound"])
 
     def test_oracle_flag_unlocks_fallback(self, capsys):
         code = main(["intercept", "--mu", "0.6", "--temperature", "120",
@@ -114,11 +124,21 @@ class TestIntercept:
         assert rows[0]["method"] == "oracle"
         assert float(rows[0]["value"]) == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("mu", ["5e-324", "1e-310"])
+    def test_subnormal_mu(self, capsys, mu):
+        assert main(["intercept", "--mu", mu]) == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert abs(float(row["value"]) - 1.0) <= float(row["error_bound"])
+
     def test_pole_cannot_be_unlocked(self, capsys):
-        code = main(["intercept", "--mu", "0.5", "--temperature", "120",
-                     "-k", "0", "--order", "3", "--oracle"])
-        assert code == 1
-        assert "pole" in capsys.readouterr().err
+        # the lattice point mu = 1/(r-1) has a value on the forced oracle route
+        args = ["--mu", "0.5", "--temperature", "120", "-k", "0", "--order", "3"]
+        assert main(["intercept", *args, "--oracle"]) == 0
+        assert parse_csv(capsys.readouterr().out)[0]["method"] == "oracle"
+        (row,) = intercept_records(0.5, 120.0, 0.0, 139.57, 3, core.DEFAULT_TOL,
+                                   force_oracle=True)
+        closed = core.intercept(0.5, 139.57 / 120.0, 3, method="closed")
+        assert abs(row.value - closed.value) <= row.error_bound + closed.error_bound
 
 
 class TestDistribution:
@@ -223,14 +243,33 @@ class TestFigure:
         keys = [(r.T_mev, r.mu, r.r, r.k_mev) for r in records]
         assert keys == sorted(keys)
 
-    def test_fig3_pole_failure_keeps_grid(self, capsys):
+    def test_fig3_pole_failure_keeps_grid(self):
+        # the lattice point mu = 1/(r-1) = 0.5 gives every row a value that
+        # agrees with the oracle within the two bounds
         grid = GridSpec(k_steps=3, mus=(0.5,))
+        records, failed = figure_records("fig3", grid)
+        assert failed == 0
+        point_rows = [r for r in records if r.quantity == "lambda3"]
+        assert len(point_rows) == 6
+        for row in point_rows:
+            assert row.method == "closed_form"
+            alpha = math.hypot(grid.mass, row.k_mev) / row.T_mev
+            oracle = core.intercept(0.5, alpha, 3, grid.tol, "oracle")
+            assert abs(row.value - oracle.value) <= row.error_bound + oracle.error_bound
+        asym = [r for r in records if r.quantity == "asymptote"]
+        assert len(asym) == 2 and all(math.isfinite(r.value) for r in asym)
+
+    def test_failure_keeps_grid(self, capsys):
+        # at T = 5e-324 every alpha overflows to inf, which no point accepts;
+        # each failure keeps its slot and the asymptote rows stay
+        grid = GridSpec(k_steps=3, mus=(0.1, 0.2), temperatures=(5e-324,))
         records, failed = figure_records("fig3", grid)
         assert failed == 6
         point_rows = [r for r in records if r.quantity == "lambda3"]
         assert all(math.isnan(r.value) and r.method == "failed" for r in point_rows)
         asym = [r for r in records if r.quantity == "asymptote"]
         assert len(asym) == 2 and all(math.isfinite(r.value) for r in asym)
+        assert capsys.readouterr().err.count("failed") == 6
 
     # preset -> (quantity, r, point evaluation, asymptote or None)
     PRESET_CALLS = {
@@ -304,7 +343,7 @@ class TestFigureGolden:
 
 class TestRender:
     def test_failed_record_cells(self):
-        grid = GridSpec(k_steps=2, mus=(0.5,), temperatures=(120.0,))
+        grid = GridSpec(k_steps=2, mus=(0.1,), temperatures=(5e-324,))
         records, _ = figure_records("fig3", grid)
         text = render(
             [(r.quantity, r.k_mev, r.T_mev, r.mu, r.r, r.value, r.error_bound,
@@ -332,10 +371,25 @@ class TestEndToEnd:
         assert first.stdout.splitlines()[0] == ",".join(GRID_HEADER)
 
     def test_fig3_with_pole_exits_three(self):
+        # mu = 0.5 = 1/(r-1) exits 0; each printed value agrees with the
+        # oracle within both bounds and its 12-digit rounding
         out = run_cli("figure", "fig3", "--mu", "0.5", "--k-steps", "2")
+        assert out.returncode == 0 and out.stderr == ""
+        rows = [r for r in parse_csv(out.stdout) if r["quantity"] == "lambda3"]
+        assert len(rows) == 4
+        for row in rows:
+            value, bound = float(row["value"]), float(row["error_bound"])
+            assert row["method"] == "closed_form"
+            alpha = math.hypot(139.57, float(row["k_mev"])) / float(row["T_mev"])
+            oracle = core.intercept(0.5, alpha, 3, method="oracle")
+            rounding = 5e-12 * abs(value)
+            assert abs(value - oracle.value) <= bound + oracle.error_bound + rounding
+
+    def test_failed_rows_exit_three(self):
+        out = run_cli("figure", "fig3", "--temperature", "5e-324", "--k-steps", "2")
         assert out.returncode == 3
-        assert "failed" in out.stdout
-        assert "pole" in out.stderr
+        assert "nan,nan,failed" in out.stdout
+        assert "alpha must be positive and finite" in out.stderr
 
     def test_json_output_file(self, tmp_path):
         target = tmp_path / "fig.json"

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubose import (
     ASYMPTOTIC,
@@ -12,9 +14,7 @@ from mubose import (
     CorrelationResult,
     DeformationMu,
     DomainError,
-    PoleError,
     ThermoPoint,
-    closed_form_admissible,
     intercept,
     intercept_asymptotic,
     mean_occupation,
@@ -129,6 +129,43 @@ class TestBoseBeyondDoubleRange:
         assert abs(res.value - _bose_moment(alpha, r)) <= res.error_bound
 
 
+def _direct_moment(mu, alpha, r):
+    """(1-z) sum_{n>=r} z^n prod_{l<r} phi(n-l), the defining series, at 60 digits.
+
+    Every factor phi(x) < 1/mu, so the tail after term n is below
+    mu^-r z^(n+1) / (1-z); the sum stops once that is 1e-60 of the total.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        m, z = mpmath.mpf(mu), mpmath.exp(-mpmath.mpf(alpha))
+
+        def phi(x):
+            return x / (1 + m * x)
+
+        prod = mpmath.fprod(phi(r - l) for l in range(r))
+        zn, total, n = z**r, mpmath.mpf(0), r
+        cap = m**-r / (1 - z) * mpmath.mpf(10) ** 60
+        while True:
+            total += zn * prod
+            zn *= z
+            if cap * zn <= total:
+                return (1 - z) * total
+            n += 1
+            prod *= phi(n) / phi(n - r)
+
+
+def _direct_intercept(mu, alpha, r):
+    """moment / mean^r - 1 from the 60-digit defining series."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        return _direct_moment(mu, alpha, r) / _direct_moment(mu, alpha, 1) ** r - 1
+
+
+def _assert_within_bound(res, want):
+    assert math.isfinite(res.value)
+    assert abs(res.value - want) <= res.error_bound, (res, float(want))
+
+
 class TestRMoment:
     def test_bose_closed_form(self):
         res = r_moment(0.0, LN2, 3)
@@ -143,10 +180,12 @@ class TestRMoment:
         assert r_moment(0.2, 5.0, 1).value == mean_occupation(0.2, 5.0).value
 
     def test_domain_boundary(self):
-        with pytest.raises(DomainError, match="0.5"):
-            r_moment(0.6, 1.0, 3)
-        with pytest.raises(DomainError):
-            r_moment(0.5, 1.0, 3)
+        # mu >= 1/(r-1), outside the printed Lerch form, and the lattice point
+        # mu = 1/(r-1) itself have values on the rearranged closed form
+        for mu in (0.6, 0.5):
+            res = r_moment(mu, 1.0, 3)
+            assert res.method == CLOSED_FORM
+            _assert_within_bound(res, _direct_moment(mu, 1.0, 3))
 
     def test_small_mu_routes_to_oracle(self):
         res = r_moment(1e-6, 1.0, 4)
@@ -171,12 +210,12 @@ class TestOracleMoment:
         assert math.isfinite(res.value) and res.value > 0.0
 
     def test_pole_rejection(self):
-        with pytest.raises(PoleError):
-            oracle_moment(0.5, 1.0, 3)
-        with pytest.raises(PoleError):
-            oracle_moment(1.0, 1.0, 2)
-        # 1/mu integer but larger than r-1 is fine
-        assert oracle_moment(0.5, 1.0, 2).value > 0.0
+        # 1/mu an integer <= r-1: the series sums n >= r, where no phi(n-l)
+        # has a pole, so these have values like every other mu
+        for mu, r in ((0.5, 3), (1.0, 2), (1.0, 3), (0.5, 2)):
+            res = oracle_moment(mu, 1.0, r)
+            assert res.method == ORACLE
+            _assert_within_bound(res, _direct_moment(mu, 1.0, r))
 
 
 class TestIntercept:
@@ -199,6 +238,12 @@ class TestIntercept:
             res = intercept(1e-300, 1.0, r)
             assert res.method == ORACLE
             assert abs(res.value - (math.factorial(r) - 1)) <= res.error_bound
+
+    @pytest.mark.parametrize("mu, r", [(5e-324, 2), (1e-300, 3), (5e-324, 64)])
+    def test_forced_closed_beyond_double_range(self, mu, r):
+        # mu^(2-2r) cancellation beyond the double range: no digit survives
+        with pytest.raises(DomainError, match="use the oracle"):
+            intercept(mu, 1.0, r, method="closed")
 
     def test_large_alpha_near_asymptote(self):
         res = intercept(0.1, 25.0, 2)
@@ -223,16 +268,23 @@ class TestIntercept:
         assert intercept(0.1, 1.0, 3).method == CLOSED_FORM
 
     def test_forced_closed_requires_admissible_mu(self):
-        with pytest.raises(DomainError, match="0.5"):
-            intercept(0.6, 1.0, 3, method="closed")
+        # the forced closed route holds beyond mu < 1/(r-1) too
+        for mu in (0.6, 2.0):
+            res = intercept(mu, 1.0, 3, method="closed")
+            assert res.method == CLOSED_FORM
+            _assert_within_bound(res, _direct_intercept(mu, 1.0, 3))
 
     def test_inadmissible_mu_uses_oracle_in_auto(self):
+        # mu >= 1/(r-1) is well conditioned, so auto takes the closed form
         res = intercept(0.6, 1.0, 3)
-        assert res.method == ORACLE and math.isfinite(res.value)
+        assert res.method == CLOSED_FORM
+        _assert_within_bound(res, _direct_intercept(0.6, 1.0, 3))
 
     def test_pole_with_no_route(self):
-        with pytest.raises(PoleError):
-            intercept(0.5, 1.0, 3)
+        # mu = 1/(r-1) has a value on every route
+        want = _direct_intercept(0.5, 1.0, 3)
+        for method in ("auto", "closed", "oracle"):
+            _assert_within_bound(intercept(0.5, 1.0, 3, method=method), want)
 
     def test_underflow_returns_asymptote(self):
         res = intercept(0.1, 800.0, 2)
@@ -340,13 +392,69 @@ class TestR3:
 
 class TestAdmissibility:
     def test_edges(self):
-        assert closed_form_admissible(0.0, 5)
-        assert closed_form_admissible(0.3, 1)
-        assert closed_form_admissible(0.49, 3)
-        assert not closed_form_admissible(0.5, 3)
-        assert not closed_form_admissible(0.34, 4)
+        # either side of the printed Lerch form's edge mu = 1/(r-1) and on
+        # it, on every intercept route
+        assert intercept(0.0, 1.0, 5).value == 119.0
+        assert r_moment(0.3, 1.0, 1).value == mean_occupation(0.3, 1.0).value
+        for mu, r in ((0.49, 3), (0.5, 3), (0.51, 3), (1.0 / 3.0, 4), (0.34, 4)):
+            want = _direct_intercept(mu, 1.0, r)
+            for method in ("auto", "closed", "oracle"):
+                _assert_within_bound(intercept(mu, 1.0, r, method=method), want)
 
     def test_result_type_immutable(self):
         res = CorrelationResult(1.0, 0.0, CLOSED_FORM)
         with pytest.raises(AttributeError):
             res.value = 2.0
+
+
+class TestWholeDomain:
+    """The closed form and the oracle hold for every mu > 0."""
+
+    @settings(max_examples=80)
+    @given(
+        mu=st.one_of(st.sampled_from([1.0 / j for j in range(1, 7)]),
+                     st.floats(min_value=0.34, max_value=4.0)),
+        r=st.integers(min_value=2, max_value=6),
+        alpha=st.floats(min_value=math.log(0.05), max_value=math.log(50.0)).map(math.exp),
+    )
+    def test_bounds_hold(self, mu, r, alpha):
+        # the lattice mu = 1/j and mu >= 1/(r-1), outside the printed Lerch form
+        moment = _direct_moment(mu, alpha, r)
+        want = moment / _direct_moment(mu, alpha, 1) ** r - 1
+        for method in ("auto", "closed", "oracle"):
+            _assert_within_bound(intercept(mu, alpha, r, method=method), want)
+        _assert_within_bound(r_moment(mu, alpha, r), moment)
+        _assert_within_bound(oracle_moment(mu, alpha, r), moment)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-310])
+    def test_subnormal_mu(self, mu):
+        # the mu = 0 limit: the moment moves by O(mu), far below the bounds
+        res = intercept(mu, 1.0, 2)
+        assert abs(res.value - 1.0) <= res.error_bound
+        res = oracle_moment(mu, 1.0, 2)
+        assert abs(res.value - _bose_moment(1.0, 2)) <= res.error_bound
+
+    @pytest.mark.parametrize("kind, mu, alpha, r", [
+        ("mean", 0.1, 1396.0, 1), ("moment", 1e100, 20.0, 3), ("moment", 1e50, 1.0, 8),
+        ("series", 1e100, 20.0, 3)])
+    def test_underflowed_value_keeps_a_bound(self, kind, mu, alpha, r):
+        # the value rounds to 0 in doubles; its bound covers that rounding
+        if kind == "mean":
+            res = mean_occupation(mu, alpha)
+        else:
+            res = (r_moment if kind == "moment" else oracle_moment)(mu, alpha, r)
+        want = _direct_moment(mu, alpha, r)
+        assert res.value == 0.0 and 0.0 < want
+        assert abs(res.value - want) <= res.error_bound
+
+    def test_preset_routes(self):
+        # the figure presets and their sub-tolerances keep the closed form,
+        # mu ~ 0.01 at r = 3 keeps the oracle, and mu >= 1/(r-1), where the
+        # first term barely cancels, takes the closed form
+        for mu in (0.1, 0.2):
+            for r in (2, 3):
+                for tol in (1e-12, 1e-12 / 16):
+                    assert intercept(mu, 1.0, r, tol).method == CLOSED_FORM
+        assert intercept(0.01, 1.0, 3).method == ORACLE
+        assert intercept(1.5, 1.0, 2).method == CLOSED_FORM
+        assert intercept(0.75, 1.0, 3).method == CLOSED_FORM

@@ -10,11 +10,13 @@ term count.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mubose import _kernels_py as kp
+from mubose.partfrac import _exact_coeffs
 
 _LD = np.longdouble
 _ONE = _LD(1)
@@ -201,10 +203,6 @@ FIGURE_ALPHAS = [math.hypot(139.57, 1000.0 * i / 1000) / T
                  for T in (120.0, 180.0) for i in range(1001)]
 
 
-def _admissible(mu, r):
-    return r < 2 or mu < 1.0 / (r - 1)
-
-
 def _check(batch, scalar, loop, mu, alphas, r, rtol, atol=0.0, max_terms=10**8):
     want = [loop(mu, a, r, rtol, atol, max_terms) for a in alphas]
     assert batch(mu, alphas, r, rtol, atol, max_terms) == want
@@ -213,11 +211,10 @@ def _check(batch, scalar, loop, mu, alphas, r, rtol, atol=0.0, max_terms=10**8):
 
 
 class TestClosedMomentSums:
-    @pytest.mark.parametrize("mu", [0.01, 0.1, 0.2, 0.45])
+    @pytest.mark.parametrize("mu", [0.01, 0.1, 0.2, 0.45, 0.5, 1.0, 3.0])
     def test_matches_loop(self, mu):
+        # every mu > 0, the lattice mu = 1/j and mu >= 1/(r-1) included
         for r in range(1, 9):
-            if not _admissible(mu, r):
-                continue
             # the alpha = 1e-3 loops sum ~10^4 terms each; one order keeps the test short
             alphas = ALPHAS if r == 3 else ALPHAS[1:]
             _check(kp.closed_moment_sums, kp.closed_moment_sum, _closed_loop,
@@ -241,6 +238,32 @@ class TestClosedMomentSums:
 
     def test_empty_curve(self):
         assert kp.closed_moment_sums(0.1, [], 2, 1e-13, 0.0, 10**8) == []
+
+
+class TestClosedCondition:
+    @pytest.mark.parametrize("mu, r", [(0.1, 2), (0.1, 3), (0.5, 3), (1.0, 4), (3.0, 6),
+                                       (1e-3, 5)])
+    def test_matches_exact_first_term(self, mu, r):
+        # mu^(2-2r) sum_l |Atilde_l| / ((1+mu(r-l))(1+mu(r-l-1))) / [r]_mu!
+        # with the exact rational A_l = mu^(1-r) Atilde_l
+        m = Fraction(mu)
+        coeffs = _exact_coeffs(r, m)
+        s_abs = sum(abs(c) / ((1 + m * (r - l)) * (1 + m * (r - l - 1)))
+                    for l, c in enumerate(coeffs))
+        factorial = math.prod(Fraction(j) / (1 + m * j) for j in range(1, r + 1))
+        want = float(s_abs / m ** (r - 1) / factorial)
+        assert kp.closed_condition(mu, r) == pytest.approx(want, rel=1e-15)
+
+    def test_order_one_has_no_cancellation(self):
+        assert kp.closed_condition(0.3, 1) == pytest.approx(1.0, rel=1e-18)
+
+    @pytest.mark.parametrize("mu, r", [(1e-300, 3), (5e-324, 2), (1e40, 64), (1e300, 64)])
+    def test_out_of_range(self, mu, r):
+        # mu^(2-2r) or a coefficient leaves the long-double range, or the
+        # factor itself the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kp.closed_condition(mu, r) == math.inf
 
 
 class TestOracleMomentSums:

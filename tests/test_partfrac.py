@@ -1,6 +1,7 @@
 """Partial-fraction coefficients A^(r)_l and the expansion identity."""
 
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,15 @@ class TestACoefficients:
     def test_domain(self, r, mu):
         with pytest.raises(DomainError):
             a_coeffs(r, mu)
+
+    @pytest.mark.parametrize("r,mu", [(3, 1e-200), (64, 1e-300), (64, 1e300)])
+    def test_beyond_double_range(self, r, mu):
+        # A_l ~ mu^(1-r) overflows a double at tiny mu, and the recurrence
+        # overflows long double at huge mu; neither may leak a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the double range"):
+                a_coeffs(r, mu)
 
 
 class TestExpansionResidual:
