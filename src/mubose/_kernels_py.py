@@ -8,13 +8,13 @@ moment to the tolerances the rest of the package promises.
 
 Kernels perform no argument validation and raise nothing on
 non-convergence; they return ``(value, error_bound, terms_used)``
-(``power_sum``, which sums a fixed number of terms, ``(value, tail_bound)``)
-with a rigorous truncation bound and leave policy to the calling module.
-Every series is summed by one driver, :func:`_sum_rows`, and every tail
-of the form sum_{m>n} m^s z^m is bounded by one geometric tail,
-:func:`_geometric_tail`.  ``closed_moment_sums`` and
-``oracle_moment_sums`` sum a whole curve, one triple per alpha; the
-other kernels are one-point sums.
+(``power_sum`` ``(value, tail_bound)``) with a rigorous truncation bound
+and leave policy to the calling module.  Every series is summed by one
+driver, :func:`_sum_rows`, and every tail of the form sum_{m>n} m^s z^m
+is bounded by one geometric tail, :func:`_geometric_tail`.
+``closed_moment_sums`` and ``oracle_moment_sums`` sum a whole curve and
+return the triple as arrays over alpha (float64, float64, int64); the
+other kernels are one-point sums and return Python numbers.
 """
 
 from __future__ import annotations
@@ -175,8 +175,15 @@ def _geometric_tail(n: np.ndarray, s: int, z, zn: np.ndarray) -> np.ndarray:
         return np.where(rho < _ONE, bound * zn / (_ONE - rho), _LD(np.inf))
 
 
-def _results(value, err, terms) -> list:
-    return list(zip(value.astype(float).tolist(), err.astype(float).tolist(), terms.tolist()))
+def _curve_sums(value, err, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The long-double sums of a curve rounded to doubles, with their term counts."""
+    return value.astype(np.float64), err.astype(np.float64), terms
+
+
+def _first(sums) -> tuple[float, float, int]:
+    """The first point of a curve's ``(value, error_bound, terms_used)`` as Python numbers."""
+    value, err, terms = sums
+    return float(value[0]), float(err[0]), int(terms[0])
 
 
 def lerch_sum(z: float, a: float, atol: float, max_terms: int):
@@ -206,28 +213,41 @@ def lerch_sum(z: float, a: float, atol: float, max_terms: int):
     return float(acc[0]), float(err), n
 
 
-def power_sum(s: int, l: int, alpha: float, n_max: int):
-    """sum_{n=0}^{n_max} (n-l)^s z^n with its geometric tail bound: ``(value, tail)``."""
+def power_sum(s: int, l: int, alpha: float, n_max: int, atol: float):
+    """sum_{n=0}^{N} (n-l)^s z^n with its geometric tail bound: ``(value, tail)``.
+
+    N is the first n >= l whose tail bound is below ``atol``, or ``n_max``
+    if no n up to it qualifies.  For m > n >= l, 0 < m - l <= m, so the
+    geometric tail of m^s z^m bounds the tail; below l it need not.  That
+    bound is infinite while rho >= 1 and falls with n once it is finite,
+    so a block of terms whose last bound misses ``atol`` holds no passing
+    term, and only the last bound of such a block is formed.
+    """
     z = np.exp(-_LD(alpha))
+    atol_ld = _LD(atol)
     zn = np.ones(1, dtype=_LD)
     acc = np.zeros(1, dtype=_LD)
+    tail = np.zeros(1, dtype=_LD)
 
     def block(active, first, width):
+        n = np.arange(first, first + width).astype(_LD)
         x = np.arange(first - l, first + width - l).astype(_LD)
         p = np.ones(width, dtype=_LD)
         for _ in range(s):
             p *= x
         zn_before, zns = _powers(zn[active], z, width)
         accs = _running_sum(acc[active], p * zn_before)
-        return np.zeros((active.size, width), dtype=bool), (zns, accs)
+        tails = _geometric_tail(n[-1:], s, z, zns[:, -1:])
+        if tails[0, 0] < atol_ld:
+            tails = _geometric_tail(n, s, z, zns)
+        return (tails < atol_ld) & (n >= l), (zns, accs, np.broadcast_to(tails, zns.shape))
 
-    _sum_rows(1, n_max + 1, block, [zn, acc])
-    tail = _geometric_tail(np.array([n_max], dtype=_LD), s, z, zn)
+    _sum_rows(1, n_max + 1, block, [zn, acc, tail])
     return float(acc[0]), float(tail[0])
 
 
 def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
-                       max_terms: int) -> list:
+                       max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalised r-th factorial-structure moment via the Lerch route, per alpha.
 
     Evaluates (1-z) * sum_n z^n * prod_{l<r} phi(n-l) through the
@@ -241,8 +261,8 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
     with Atilde_l = mu^(r-1) A_l the rescaled coefficients.  Without the
     rearrangement the assembly loses all significance once z^r is below
     roundoff.  S_m and the tail denominators do not depend on alpha and
-    are computed once per block of terms.  Returns one
-    ``(value, error_bound, terms_used)`` per alpha.
+    are computed once per block of terms.  Returns the arrays
+    ``(value, error_bound, terms_used)`` over alpha.
 
     The sum equals the defining series for every mu > 0.  The product
     P(n) = prod_{l<r} phi(n-l) is a rational function of n whose
@@ -296,25 +316,25 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
     terms = _sum_rows(z.size, max_terms, block, [zm, acc, abs_acc, tail])
     value = -acc * scale
     err = (tail + _EPS_LD * (2 * r + 6) * abs_acc) * scale + _DBL_EPS * abs(value)
-    return _results(value, err, terms)
+    return _curve_sums(value, err, terms)
 
 
 def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
                       atol: float, max_terms: int):
     """:func:`closed_moment_sums` at one alpha: ``(value, error_bound, terms_used)``."""
-    return closed_moment_sums(mu, (alpha,), r, rtol, atol, max_terms)[0]
+    return _first(closed_moment_sums(mu, (alpha,), r, rtol, atol, max_terms))
 
 
 def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
-                 products) -> list:
+                 products) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force moment (1-z) * sum_{n>=r} z^n * P(n), per alpha.
 
     ``products(n)`` gives the alpha-independent product P(n) of r
     structure functions for a block of consecutive ``n``; it must lie in
     [0, n^r], so the tail after term n is bounded by the geometric tail
     of n^r z^n.  Terms with n < r vanish identically (one factor is
-    the structure function at 0) and are skipped.  Returns one
-    ``(value, error_bound, terms_used)`` per alpha.
+    the structure function at 0) and are skipped.  Returns the arrays
+    ``(value, error_bound, terms_used)`` over alpha.
     """
     z = np.exp(-np.asarray(alphas, dtype=_LD))
     gap = _ONE - z
@@ -339,17 +359,17 @@ def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
     terms = _sum_rows(z.size, max_terms, block, [zn, acc, tail])
     value = gap * acc
     err = gap * tail + _EPS_LD * (2 * r + 8) * abs(value) + _DBL_EPS * abs(value)
-    return _results(value, err, terms)
+    return _curve_sums(value, err, terms)
 
 
 def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
-                       max_terms: int) -> list:
+                       max_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force moment (1-z) * sum_{n>=r} z^n * prod_{l<r} phi(n-l), per alpha.
 
     Independent of the partial-fraction machinery: each term is a direct
     product of structure functions phi(x) = x / (1 + mu x) <= x, summed
-    by :func:`_oracle_sums`.  Returns one
-    ``(value, error_bound, terms_used)`` per alpha.
+    by :func:`_oracle_sums`.  Returns the arrays
+    ``(value, error_bound, terms_used)`` over alpha.
     """
     mu_ld = _LD(mu)
 
@@ -366,7 +386,7 @@ def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
 def oracle_moment_sum(mu: float, alpha: float, r: int, rtol: float,
                       atol: float, max_terms: int):
     """:func:`oracle_moment_sums` at one alpha: ``(value, error_bound, terms_used)``."""
-    return oracle_moment_sums(mu, (alpha,), r, rtol, atol, max_terms)[0]
+    return _first(oracle_moment_sums(mu, (alpha,), r, rtol, atol, max_terms))
 
 
 def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
@@ -399,4 +419,4 @@ def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
             prod *= basic[i:i + n.size]
         return prod
 
-    return _oracle_sums((alpha,), r, rtol, atol, max_terms, products)[0]
+    return _first(_oracle_sums((alpha,), r, rtol, atol, max_terms, products))

@@ -13,11 +13,15 @@ grid records failed (failed rows keep their slot with method ``failed``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import core, expansion, pq
 from .core import DEFAULT_TOL
@@ -38,8 +42,8 @@ class _Preset(NamedTuple):
     quantity: str
     r: int
     mus: tuple[float, ...]
-    #: (mu, alphas, tol, method) -> one CorrelationResult or failure per alpha
-    evaluate: Callable[[float, list[float], float, str], list]
+    #: (mu, alphas, tol, method) -> the curve's results as arrays (core._Curve)
+    evaluate: Callable[[float, np.ndarray, float, str], core._Curve]
     #: mu -> asymptotic value closing each curve, or None for no asymptote row
     asymptote: Callable[[float], float] | None
 
@@ -80,6 +84,11 @@ class GridSpec:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        for name in ("k_min", "k_max", "mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(t) for t in self.temperatures):
+            raise DomainError(f"temperatures must be finite, got {self.temperatures}")
         if not (0.0 <= self.k_min < self.k_max):
             raise DomainError(
                 f"need 0 <= k_min < k_max, got [{self.k_min}, {self.k_max}]"
@@ -116,6 +125,10 @@ def _alpha(T: float, k: float, mass: float) -> float:
     return core.ThermoPoint(T, k, mass).alpha
 
 
+#: methods whose bound is held to tol: a row whose bound exceeds it gets ``+overtol``
+_TOL_METHODS = (core.CLOSED_FORM, core.ORACLE)
+
+
 def _record(key: tuple, res: core.CorrelationResult, tol: float) -> OutputRecord:
     """Row (*key, value, error_bound, method) for one result.
 
@@ -123,7 +136,7 @@ def _record(key: tuple, res: core.CorrelationResult, tol: float) -> OutputRecord
     whose bound exceeds ``tol`` gets the method suffix ``+overtol``.
     """
     method = res.method
-    if method in (core.CLOSED_FORM, core.ORACLE) and res.error_bound > tol:
+    if method in _TOL_METHODS and res.error_bound > tol:
         method += "+overtol"
     return OutputRecord(*key, res.value, res.error_bound, method)
 
@@ -155,7 +168,10 @@ def figure_records(preset: str, grid: GridSpec,
                    allow_oracle: bool = False) -> tuple[list[OutputRecord], int]:
     """Rows behind one figure preset; returns (records, number_of_failures).
 
-    Each (T, mu) curve is evaluated in one call over all its momenta.
+    Each (T, mu) curve is evaluated in one call over all its momenta, and
+    its rows are built from the curve's arrays, as :func:`_record` builds
+    one row.  A failed point keeps its row, with nan cells and the method
+    ``failed``.
     """
     if preset not in _PRESETS:
         raise DomainError(f"unknown figure preset {preset!r}")
@@ -164,20 +180,24 @@ def figure_records(preset: str, grid: GridSpec,
     failed = 0
     method = "oracle" if allow_oracle else "auto"
     momenta = grid.momenta()
+    size = len(momenta)
+    energies = np.array([math.hypot(grid.mass, k) for k in momenta])
     for T in grid.temperatures:
+        # at a subnormal T every alpha overflows to inf, which each point rejects
+        with np.errstate(over="ignore"):
+            alphas = energies / T
         for mu in grid.mus:
-            # validates T, the mass and the first momentum; the others grow from it
-            core.ThermoPoint(T, momenta[0], grid.mass)
-            alphas = [math.hypot(grid.mass, k) / T for k in momenta]
-            results = spec.evaluate(mu, alphas, grid.tol, method)
-            for k, res in zip(momenta, results):
-                key = (spec.quantity, k, T, mu, spec.r)
-                if isinstance(res, core.CorrelationResult):
-                    records.append(_record(key, res, grid.tol))
-                    continue
-                print(f"record (T={T:g}, mu={mu:g}, k={k:g}) failed: {res}", file=sys.stderr)
-                records.append(OutputRecord(*key, math.nan, math.nan, "failed"))
-                failed += 1
+            curve = spec.evaluate(mu, alphas, grid.tol, method)
+            for i, exc in sorted(curve.failures.items()):
+                print(f"record (T={T:g}, mu={mu:g}, k={momenta[i]:g}) failed: {exc}",
+                      file=sys.stderr)
+            failed += len(curve.failures)
+            methods = np.array(core._METHODS, dtype=object)[curve.method]
+            held = np.isin(curve.method, [core._METHODS.index(m) for m in _TOL_METHODS])
+            methods[held & (curve.error_bound > grid.tol)] += "+overtol"
+            records += map(OutputRecord, repeat(spec.quantity, size), momenta, repeat(T, size),
+                           repeat(mu, size), repeat(spec.r, size), curve.value.tolist(),
+                           curve.error_bound.tolist(), methods.tolist())
             if spec.asymptote is not None:
                 records.append(_asymptote(T, mu, spec.r, spec.asymptote(mu)))
     return records, failed
@@ -244,10 +264,7 @@ def _fmt(x) -> str:
         return x
     if isinstance(x, int):
         return str(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    # nan, inf and -inf print as those words, nan without its sign
     return "%.12g" % x
 
 
@@ -261,13 +278,33 @@ def _json_cell(x):
     return float(_fmt(x))
 
 
+def _cell_format(column: tuple) -> str | None:
+    """The %-format that prints every cell of a column as :func:`_fmt` does.
+
+    ``%.12g`` for a column of floats, ``%s`` for one of str and int, and
+    None for any other column.
+    """
+    types = set(map(type, column))
+    if types == {float}:
+        return "%.12g"
+    if types <= {str, int}:
+        return "%s"
+    return None
+
+
 def render(rows: list, header: tuple[str, ...], fmt: str) -> str:
-    """Rows -> CSV text or a JSON array of flat objects (both newline-terminated)."""
+    """Rows -> CSV text or a JSON array of flat objects (both newline-terminated).
+
+    Where every column has a %-format, each CSV row is printed by one
+    %-format of the whole row rather than cell by cell.
+    """
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
-        return "\n".join(lines) + "\n"
+        cells = [_cell_format(column) for column in zip(*rows)]
+        if None in cells:
+            lines = [",".join(map(_fmt, row)) for row in rows]
+        else:
+            lines = map(",".join(cells).__mod__, rows)
+        return "\n".join([",".join(header), *lines]) + "\n"
     objs = [{name: _json_cell(cell) for name, cell in zip(header, row)} for row in rows]
     return json.dumps(objs, indent=2) + "\n"
 
@@ -359,8 +396,14 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         header, failed = GRID_HEADER, 0
         if args.command == "figure":

@@ -20,6 +20,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._backend import kernels
 from .errors import (
     DBL_EPS,
@@ -30,7 +32,7 @@ from .errors import (
     _check_mu,
     _check_order,
     _check_tol,
-    _converged,
+    _convergence_error,
 )
 
 log = logging.getLogger(__name__)
@@ -41,6 +43,11 @@ DEFAULT_TOL = 1e-12
 CLOSED_FORM = "closed_form"
 ORACLE = "oracle"
 ASYMPTOTIC = "asymptotic"
+
+#: a curve's method codes index this tuple.  The order ranks the tags: a
+#: value formed from two results takes the larger of their two codes.
+_METHODS = (CLOSED_FORM, ORACLE, ASYMPTOTIC, "failed")
+_FAILED = _METHODS.index("failed")
 
 #: below mean^r = UNDERFLOW_FLOOR the intercept ratio is 0/0 in doubles
 #: and the asymptotic value is returned instead
@@ -53,7 +60,7 @@ _TINY = math.ulp(0.0)
 _CONDITION_SAFETY = 2.0
 
 #: largest bound-to-size ratio of lambda2, and of lambda3 - lambda2, at which
-#: the r3 bound is propagated linearly (see _check_linear)
+#: the r3 bound is propagated linearly (see _r3_usable)
 _R3_LINEAR = 2.0**-10
 
 
@@ -158,135 +165,163 @@ def _route(kind: str, mu: float, r: int, tol: float, method: str) -> bool | None
     return kappa * kernels.EPS * (2 * r + 6) * _CONDITION_SAFETY <= tol
 
 
-def _sums(mu: float, alphas: list[float], r: int, rtol: float,
-          closed: bool) -> list[tuple[float, float] | ConvergenceError]:
-    """(value, error) of the r-th moment at each alpha in one kernel call.
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` at every element of ``x``, evaluated by Python's math as a one-point call is.
+
+    numpy vectorises log, expm1 and power apart from the C library, and
+    their results can differ from it in the last bit, which can change a
+    printed digit.  +, -, *, / and comparisons round alike in both.
+    """
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+@dataclass(frozen=True)
+class _Curve:
+    """The results of a curve as arrays, one slot per alpha.
+
+    ``method`` holds each point's index into ``_METHODS``.  A failed point
+    keeps its slot with a nan value and bound and the method ``failed``;
+    its DomainError or ConvergenceError is in ``failures`` under its index.
+    """
+
+    value: np.ndarray
+    error_bound: np.ndarray
+    method: np.ndarray
+    failures: dict[int, DomainError | ConvergenceError]
+
+    @classmethod
+    def empty(cls, size: int) -> _Curve:
+        """A curve whose every slot awaits a result or a failure."""
+        return cls(np.full(size, np.nan), np.full(size, np.nan),
+                   np.full(size, _FAILED, dtype=np.int8), {})
+
+    def put(self, idx: np.ndarray, value, error_bound, method: int) -> None:
+        self.value[idx] = value
+        self.error_bound[idx] = error_bound
+        self.method[idx] = method
+
+    def fail(self, i: int, exc: DomainError | ConvergenceError) -> None:
+        self.put(i, np.nan, np.nan, _FAILED)
+        self.failures[i] = exc
+
+
+def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float,
+          closed: bool, curve: _Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, error, converged) of the r-th moment at ``alphas[todo]`` in one kernel call.
 
     A sum also stops once its tail is below ``_TINY``, which no double
     result can resolve: a moment below the long-double range sums to 0,
     so no relative test could stop it.  Each bound adds ``_TINY``, the
     absolute error of a value that underflows as it is rounded to a
-    double.  A point whose sum used the whole term budget gets its
-    ConvergenceError.
+    double.  A point whose sum used the whole term budget has not
+    converged, and its slot of ``curve`` fails with a ConvergenceError.
     """
     if closed:
-        summed = kernels.closed_moment_sums(mu, alphas, r, rtol, _TINY, MAX_TERMS)
-        what = "closed-form moment"
+        sums, what = kernels.closed_moment_sums, "closed-form moment"
     else:
-        summed = kernels.oracle_moment_sums(mu, alphas, r, rtol, _TINY, MAX_TERMS)
-        what = "oracle moment"
-    out: list[tuple[float, float] | ConvergenceError] = []
-    for alpha, point in zip(alphas, summed):
-        try:
-            value, err = _converged(point, MAX_TERMS, what, mu=mu, alpha=alpha, r=r)
-            out.append((value, err + _TINY))
-        except ConvergenceError as exc:
-            out.append(exc)
-    return out
+        sums, what = kernels.oracle_moment_sums, "oracle moment"
+    value, err, terms = sums(mu, alphas[todo], r, rtol, _TINY, MAX_TERMS)
+    converged = terms < MAX_TERMS
+    for i in todo[~converged].tolist():
+        curve.fail(i, _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(alphas[i]), r=r))
+    return value, err + _TINY, converged
 
 
-def _exact(kind: str, alpha: float, r: int) -> CorrelationResult:
-    """The mu = 0 (Bose-Einstein) value of a mean, moment or intercept.
+def _bose(alpha: float) -> float:
+    """1 / (e^alpha - 1); where e^alpha - 1 overflows, e^-alpha to double precision."""
+    try:
+        return 1.0 / math.expm1(alpha)
+    except OverflowError:
+        return math.exp(-alpha)
 
-    Where e^alpha - 1 overflows, 1/(e^alpha - 1) is e^-alpha to double
-    precision.  Results in or below the subnormal range are rounded to a
-    grid of spacing ``_TINY``, so each bound adds that absolute error,
-    times (r+1)! for the r! / (e^alpha - 1)^r of a moment.
+
+def _exact(kind: str, alphas: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mu = 0 (Bose-Einstein) value and bound of a mean, moment or intercept.
+
+    Results in or below the subnormal range are rounded to a grid of
+    spacing ``_TINY``, so each bound adds that absolute error, times
+    (r+1)! for the r! / (e^alpha - 1)^r of a moment.
     """
     if kind == "intercept":
-        return CorrelationResult(float(math.factorial(r) - 1), 0.0, CLOSED_FORM)
-    try:
-        base = 1.0 / math.expm1(alpha)
-    except OverflowError:
-        base = math.exp(-alpha)
+        return np.full(alphas.size, float(math.factorial(r) - 1)), np.zeros(alphas.size)
+    base = _libm(_bose, alphas)
     if kind == "mean":
-        return CorrelationResult(base, 4.0 * DBL_EPS * base + _TINY, CLOSED_FORM)
-    value = math.factorial(r) * base**r
+        return base, 4.0 * DBL_EPS * base + _TINY
+    value = float(math.factorial(r)) * _libm(lambda b: b**r, base)
     err = 4.0 * (r + 1) * DBL_EPS * value + math.factorial(r + 1) * _TINY
-    return CorrelationResult(value, err, CLOSED_FORM)
-
-
-_Outcome = CorrelationResult | DomainError | ConvergenceError
+    return value, err
 
 
 def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
-           tol: float, method: str = "auto") -> list[_Outcome]:
-    """One result per alpha of a curve at fixed (mu, r, tol, method).
+           tol: float, method: str = "auto") -> _Curve:
+    """The results at every alpha of a curve at fixed (mu, r, tol, method).
 
     ``kind`` is ``"mean"`` (<a+ a>; ``r`` is not used), ``"moment"``
     (:func:`r_moment`), ``"series"`` (:func:`oracle_moment`) or
     ``"intercept"`` (:func:`intercept`).  Each series is summed for all
     points in one kernel call.  An invalid mu raises.  Every other
-    failure is returned in the slot of its point, in the precedence of a
+    failure is kept in the slot of its point, in the precedence of a
     one-point call: an invalid alpha, then the route's DomainError (an
     invalid order, tolerance or method), then the point's
     ConvergenceError.  Every mu > 0 has a value on both routes.
     """
     mu = _as_mu(d)
-    out: list = [None] * len(alphas)
-    todo = []
-    for i, alpha in enumerate(alphas):
+    a = np.asarray(alphas, dtype=float)
+    curve = _Curve.empty(a.size)
+    valid = (a > 0.0) & np.isfinite(a)
+    for i in np.flatnonzero(~valid).tolist():
         try:
-            _check_alpha(alpha)
+            _check_alpha(alphas[i])
         except DomainError as exc:
-            out[i] = exc
-        else:
-            todo.append(i)
+            curve.fail(i, exc)
+    todo = np.flatnonzero(valid)
     try:
         closed = _route(kind, mu, r, tol, method)
     except DomainError as exc:
-        for i in todo:
-            out[i] = exc
-        return out
+        for i in todo.tolist():
+            curve.fail(i, exc)
+        return curve
     if closed is None:
-        for i in todo:
-            out[i] = _exact(kind, alphas[i], r)
-        return out
-    tag = CLOSED_FORM if closed else ORACLE
+        curve.put(todo, *_exact(kind, a[todo], r), _METHODS.index(CLOSED_FORM))
+        return curve
+    tag = _METHODS.index(CLOSED_FORM if closed else ORACLE)
     if kind != "intercept":
         order = 1 if kind == "mean" else r
-        summed = _sums(mu, [alphas[i] for i in todo], order, tol, closed)
-        for i, point in zip(todo, summed):
-            if not isinstance(point, ConvergenceError):
-                point = CorrelationResult(*point, tag)
-            out[i] = point
-        return out
+        value, err, ok = _sums(mu, a, todo, order, tol, closed, curve)
+        curve.put(todo[ok], value[ok], err[ok], tag)
+        return curve
 
     part_tol = tol / (2.0 * (r + 1))
-    means = []
-    for i, point in zip(todo, _sums(mu, [alphas[i] for i in todo], 1, part_tol, closed)):
-        if isinstance(point, ConvergenceError):
-            out[i] = point
-            continue
-        mean_val, mean_err = point
-        if mean_val <= 0.0 or r * math.log(mean_val) < math.log(UNDERFLOW_FLOOR):
-            value = intercept_asymptotic(mu, r)
-            err = ((value + 1.0) * (r * r + r) * max(mean_val, 0.0)
-                   + 8.0 * DBL_EPS * (abs(value) + 1.0))
-            log.info("intercept(mu=%g, alpha=%g, r=%d): occupation underflow, "
-                     "returning asymptotic value", mu, alphas[i], r)
-            out[i] = CorrelationResult(value, err, ASYMPTOTIC)
-        else:
-            means.append((i, mean_val, mean_err))
-    moments = _sums(mu, [alphas[i] for i, _, _ in means], r, part_tol, closed)
-    for (i, mean_val, mean_err), point in zip(means, moments):
-        if isinstance(point, ConvergenceError):
-            out[i] = point
-            continue
-        mom_val, mom_err = point
-        ratio = mom_val / mean_val**r
-        value = ratio - 1.0
-        err = ratio * (mom_err / mom_val + r * mean_err / mean_val) + 8.0 * DBL_EPS * ratio
-        out[i] = CorrelationResult(value, err, tag)
-    return out
+    mean, mean_err, ok = _sums(mu, a, todo, 1, part_tol, closed, curve)
+    todo, mean, mean_err = todo[ok], mean[ok], mean_err[ok]
+    under = mean <= 0.0
+    rest = ~under
+    under[rest] = r * _libm(math.log, mean[rest]) < math.log(UNDERFLOW_FLOOR)
+    if under.any():
+        value = intercept_asymptotic(mu, r)
+        err = ((value + 1.0) * (r * r + r) * np.maximum(mean[under], 0.0)
+               + 8.0 * DBL_EPS * (abs(value) + 1.0))
+        curve.put(todo[under], value, err, _METHODS.index(ASYMPTOTIC))
+        log.info("intercept(mu=%g, r=%d): occupation underflow at %d of %d alphas, "
+                 "returning the asymptotic value", mu, r, under.sum(), a.size)
+        todo, mean, mean_err = todo[~under], mean[~under], mean_err[~under]
+    mom, mom_err, ok = _sums(mu, a, todo, r, part_tol, closed, curve)
+    mean, mean_err, mom, mom_err = mean[ok], mean_err[ok], mom[ok], mom_err[ok]
+    ratio = mom / _libm(lambda m: m**r, mean)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = ratio * (mom_err / mom + r * mean_err / mean) + 8.0 * DBL_EPS * ratio
+    # a moment that cancels to 0 (a forced closed form at tiny mu) has no relative bound
+    err[mom == 0.0] = np.inf
+    curve.put(todo[ok], ratio - 1.0, err, tag)
+    return curve
 
 
-def _point(outcomes: list[_Outcome]) -> CorrelationResult:
+def _point(curve: _Curve) -> CorrelationResult:
     """The result of a one-point curve, raising its failure."""
-    res = outcomes[0]
-    if not isinstance(res, CorrelationResult):
-        raise res
-    return res
+    if curve.failures:
+        raise curve.failures[0]
+    return CorrelationResult(float(curve.value[0]), float(curve.error_bound[0]),
+                             _METHODS[curve.method[0]])
 
 
 def mean_occupation(d: DeformationMu | float, alpha: float,
@@ -357,16 +392,9 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
     return _point(_curve("intercept", d, (alpha,), r, tol, method))
 
 
-def _merge_method(*methods: str) -> str:
-    if ASYMPTOTIC in methods:
-        return ASYMPTOTIC
-    if ORACLE in methods:
-        return ORACLE
-    return CLOSED_FORM
-
-
-def _r3_combine(l2: float, l3: float) -> float:
-    return (l3 - 3.0 * l2) / (2.0 * l2**1.5)
+def _r3_combine(l2, l3, l2_pow15):
+    """r3 from lambda2, lambda3 and lambda2^(3/2), as numbers or arrays."""
+    return (l3 - 3.0 * l2) / (2.0 * l2_pow15)
 
 
 def _check_lambda2(l2: float, power: float, what: str) -> None:
@@ -377,9 +405,11 @@ def _check_lambda2(l2: float, power: float, what: str) -> None:
         raise DomainError(f"{what} = {l2} underflows lambda2^{power}; r3 undefined")
 
 
-def _check_linear(lam2: CorrelationResult, lam3: CorrelationResult) -> None:
-    """The r3 bound is linear in the lambda bounds, which must be small.
+def _r3_usable(l2, e2, l3, e3, l2_pow25) -> np.ndarray:
+    """Where r3 has a value and a linear bound in the lambda bounds.
 
+    r3 divides by lambda2^(5/2), which must be a positive double.  Its
+    bound is linear in the lambda bounds, which must be small:
     r3 = lambda3 / (2 lambda2^(3/2)) - (3/2) lambda2^(-1/2) has the partial
     derivatives 1 / (2 lambda2^(3/2)) and (3/4)(lambda2 - lambda3) / lambda2^(5/2).
     By the mean value theorem the change of r3 to any point of the box
@@ -392,41 +422,48 @@ def _check_linear(lam2: CorrelationResult, lam3: CorrelationResult) -> None:
     fail by any factor: at mu = 1e100 the oracle's lambda2 is rounding
     noise, its bound 68 times its value.
     """
-    e2, e3 = lam2.error_bound, lam3.error_bound
-    if not (e2 <= _R3_LINEAR * lam2.value
-            and e2 + e3 <= _R3_LINEAR * abs(lam3.value - lam2.value)):
-        raise DomainError(
-            f"lambda2 = {lam2.value} +- {e2} and lambda3 = {lam3.value} +- {e3} are "
-            "too uncertain for a linear error bound; r3 undefined")
+    return ((l2 > 0.0) & (l2_pow25 > 0.0) & (e2 <= _R3_LINEAR * l2)
+            & (e2 + e3 <= _R3_LINEAR * np.abs(l3 - l2)))
+
+
+def _r3_error(l2: float, e2: float, l3: float, e3: float) -> DomainError:
+    """Why r3 has no value or no bound at a point that :func:`_r3_usable` rejects."""
+    try:
+        _check_lambda2(l2, 2.5, "lambda2")
+    except DomainError as exc:
+        return exc
+    return DomainError(f"lambda2 = {l2} +- {e2} and lambda3 = {l3} +- {e3} are "
+                       "too uncertain for a linear error bound; r3 undefined")
 
 
 def _r3_curve(d: DeformationMu | float, alphas: Sequence[float], tol: float,
-              method: str = "auto") -> list[_Outcome]:
+              method: str = "auto") -> _Curve:
     """:func:`r3_function` at every alpha, failures in their slots as in :func:`_curve`."""
     sub_tol = tol / 16.0
     out = _curve("intercept", d, alphas, 2, sub_tol, method)
-    todo = [i for i, lam2 in enumerate(out) if isinstance(lam2, CorrelationResult)]
-    lam3s = _curve("intercept", d, [alphas[i] for i in todo], 3, sub_tol, method)
-    for i, lam3 in zip(todo, lam3s):
-        lam2 = out[i]
-        if not isinstance(lam3, CorrelationResult):
-            out[i] = lam3
-            continue
-        try:
-            _check_lambda2(lam2.value, 2.5, "lambda2")
-            _check_linear(lam2, lam3)
-        except DomainError as exc:
-            out[i] = exc
-            continue
-        value = _r3_combine(lam2.value, lam3.value)
-        d3 = 1.0 / (2.0 * lam2.value**1.5)
-        d2 = -3.0 / (2.0 * lam2.value**1.5) - 3.0 * (lam3.value - 3.0 * lam2.value) / (
-            4.0 * lam2.value**2.5
-        )
-        err = abs(d3) * lam3.error_bound + abs(d2) * lam2.error_bound + 8.0 * DBL_EPS * (
-            abs(value) + 1.0
-        )
-        out[i] = CorrelationResult(value, err, _merge_method(lam2.method, lam3.method))
+    todo = np.flatnonzero(out.method != _FAILED)
+    lam3 = _curve("intercept", d, np.asarray(alphas, dtype=float)[todo], 3, sub_tol, method)
+    for j, exc in lam3.failures.items():
+        out.fail(int(todo[j]), exc)
+    ok = lam3.method != _FAILED
+    idx = todo[ok]
+    l2, e2 = out.value[idx], out.error_bound[idx]
+    l3, e3 = lam3.value[ok], lam3.error_bound[ok]
+    merged = np.maximum(out.method[idx], lam3.method[ok])
+    pow15, pow25 = np.full(l2.size, np.nan), np.full(l2.size, np.nan)
+    positive = l2 > 0.0
+    pow15[positive] = _libm(lambda x: x**1.5, l2[positive])
+    pow25[positive] = _libm(lambda x: x**2.5, l2[positive])
+    usable = _r3_usable(l2, e2, l3, e3, pow25)
+    for j in np.flatnonzero(~usable).tolist():
+        out.fail(int(idx[j]), _r3_error(float(l2[j]), float(e2[j]), float(l3[j]), float(e3[j])))
+    idx, l2, e2, l3, e3, merged, pow15, pow25 = (
+        x[usable] for x in (idx, l2, e2, l3, e3, merged, pow15, pow25))
+    value = _r3_combine(l2, l3, pow15)
+    d3 = 1.0 / (2.0 * pow15)
+    d2 = -3.0 / (2.0 * pow15) - 3.0 * (l3 - 3.0 * l2) / (4.0 * pow25)
+    err = np.abs(d3) * e3 + np.abs(d2) * e2 + 8.0 * DBL_EPS * (np.abs(value) + 1.0)
+    out.put(idx, value, err, merged)
     return out
 
 
@@ -441,4 +478,4 @@ def r3_asymptotic(d: DeformationMu | float) -> float:
     l2 = intercept_asymptotic(d, 2)
     l3 = intercept_asymptotic(d, 3)
     _check_lambda2(l2, 1.5, "lambda2 asymptote")
-    return _r3_combine(l2, l3)
+    return _r3_combine(l2, l3, l2**1.5)

@@ -53,6 +53,12 @@ def _check_mu_positive(mu: float) -> None:
         raise DomainError(f"deformation parameter must be positive, got {mu}")
 
 
+def _convergence_error(max_terms: int, what: str, **context: float) -> ConvergenceError:
+    """The failure of a sum of ``what`` that used its whole ``max_terms`` budget."""
+    args = ", ".join(f"{name}={val}" for name, val in context.items())
+    return ConvergenceError(f"{what} did not converge within {max_terms} terms ({args})")
+
+
 def _converged(summed: tuple[float, float, int], max_terms: int, what: str,
                **context: float) -> tuple[float, float]:
     """(value, error) of a kernel sum (value, error, terms_used).
@@ -63,6 +69,5 @@ def _converged(summed: tuple[float, float, int], max_terms: int, what: str,
     """
     value, err, used = summed
     if used >= max_terms:
-        args = ", ".join(f"{name}={val}" for name, val in context.items())
-        raise ConvergenceError(f"{what} did not converge within {max_terms} terms ({args})")
+        raise _convergence_error(max_terms, what, **context)
     return value, err

@@ -127,6 +127,9 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
                         n_max: int = DEFAULT_ORACLE_TERMS) -> float:
     """Brute-force c_s(l) as the signed power sum (-1)^s sum_n (n-l)^s e^(-alpha n).
 
+    The sum stops at the first term n >= l whose geometric tail bound is
+    below ``ORACLE_TAIL_TOL``; ``n_max`` caps n.
+
     Raises
     ------
     ConvergenceError
@@ -136,7 +139,7 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     _check_alpha(alpha)
     if not isinstance(n_max, int) or n_max <= l:
         raise DomainError(f"n_max must be an integer > l, got {n_max}")
-    acc, tail = kernels.power_sum(s, l, alpha, n_max)
+    acc, tail = kernels.power_sum(s, l, alpha, n_max, ORACLE_TAIL_TOL)
     if not (tail < ORACLE_TAIL_TOL):
         raise ConvergenceError(
             f"power-sum tail bound {tail:.3g} at n_max={n_max} exceeds "

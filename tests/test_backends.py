@@ -42,8 +42,9 @@ COUNTED_CALLS = {
 
 
 def test_kernel_return_shapes():
-    # the benchmark reads the term count as out[2], and n_max + 1 for power_sum
-    out = kernels.power_sum(2, 1, 0.5, 40)
+    # the benchmark reads the term count as out[2], and for power_sum its
+    # cap n_max + 1
+    out = kernels.power_sum(2, 1, 0.5, 40, 1e-12)
     assert type(out) is tuple and len(out) == 2
     assert all(type(x) is float for x in out)
     assert set(COUNTED_CALLS) | {"power_sum", "a_coeff_values"} == set(_benchmark_kernel_names())

@@ -53,6 +53,23 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("k_min", dict(k_min=math.nan)), ("k_max", dict(k_max=math.inf)),
+        ("k_max", dict(k_max=math.nan)), ("mass", dict(mass=math.inf)),
+        ("mass", dict(mass=math.nan)), ("temperatures", dict(temperatures=(120.0, math.inf))),
+        ("temperatures", dict(temperatures=(math.nan,)))])
+    def test_non_finite_fields_are_named(self, field, kwargs):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("args, field", [
+        (("--k-max", "inf"), "k_max"), (("--k-min", "nan"), "k_min"),
+        (("--mass", "inf"), "mass"), (("--temperature", "nan"), "temperatures")])
+    def test_non_finite_cli_arguments(self, args, field, capsys):
+        assert main(["figure", "fig1", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"domain error: {field} must be finite")
+
 
 class TestCoeffs:
     def test_golden_table(self, capsys):
@@ -339,6 +356,41 @@ class TestFigureGolden:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "6c8b2eba3225093b3e35df64a88ac36525423158631015f12f258c3c2bdb1328")
+
+    _FAILED_ROWS = "".join(
+        f"record (T=4.94066e-324, mu={mu}, k={k}) failed: "
+        "alpha must be positive and finite, got inf\n"
+        for mu in ("0.1", "0.2") for k in ("0", "500", "1000"))
+
+    #: grids off the default presets, captured before curves were kept as
+    #: arrays: (arguments, format) -> (stdout sha256, exit code, stderr)
+    EDGE_GRIDS = {
+        # oracle-route and +overtol rows
+        (("fig2", "--tol", "1e-16", "--mu", "0.45", "--mu", "0.01"), "csv"): (
+            "0dcd3e8875bc6a61a00af5051f41ff2d1b706c05c778a28942b573c4163a4520", 0, ""),
+        (("fig2", "--tol", "1e-16", "--mu", "0.45", "--mu", "0.01"), "json"): (
+            "3062da42d583e816a65d36fc307c4ecc8488cd34603363eda74024c555f17428", 0, ""),
+        # the exact mu = 0 route beside a closed-form curve
+        (("fig1", "--mu", "0", "--mu", "0.45", "--tol", "1e-14"), "csv"): (
+            "0073d11d9d4e672191fc631ef492c2fdcb351c0e44586814faedaf62063f81a3", 0, ""),
+        (("fig1", "--mu", "0", "--mu", "0.45", "--tol", "1e-14"), "json"): (
+            "8cacb5b344a1f70689223e73cd3692f8d746e5f5f24cf1b1fe4b7029f3b6258e", 0, ""),
+        # every point row fails: nan cells, exit 3, one stderr line per row
+        (("fig3", "--temperature", "5e-324", "--k-steps", "3"), "csv"): (
+            "6d4f49cf0ee2db8d0d681e864418fcdb6ca407c304ad2d141821c6c1148c6649", 3,
+            _FAILED_ROWS),
+        (("fig3", "--temperature", "5e-324", "--k-steps", "3"), "json"): (
+            "46ca60b22da808f2f09a38720aab6bece2045b2e4b78db5c16466005fedb6871", 3,
+            _FAILED_ROWS),
+    }
+
+    @pytest.mark.parametrize("args, fmt", sorted(EDGE_GRIDS))
+    def test_edge_grid(self, args, fmt, capsys):
+        digest, code, err = self.EDGE_GRIDS[args, fmt]
+        assert main(["figure", *args, "--format", fmt]) == code
+        out, got_err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert got_err == err
 
 
 class TestRender:

@@ -1,11 +1,13 @@
 """Thermal moments, intercepts, and asymptotics of the mu-Bose gas."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubose import core
 from mubose import (
     ASYMPTOTIC,
     CLOSED_FORM,
@@ -458,3 +460,86 @@ class TestWholeDomain:
         assert intercept(0.01, 1.0, 3).method == ORACLE
         assert intercept(1.5, 1.0, 2).method == CLOSED_FORM
         assert intercept(0.75, 1.0, 3).method == CLOSED_FORM
+
+
+class TestCurveSlots:
+    """Each slot of a batched curve equals the one-point public call at its alpha.
+
+    The alphas mix valid points, invalid ones (nan, 0, -1, inf) and alphas
+    of 700 and more, where the intercept takes its asymptotic value.
+    """
+
+    ALPHAS = [0.5, math.nan, 1.163, 0.0, 700.0, -1.0, 8.4, math.inf, 1396.0, 2.5]
+
+    ONE_POINT = {
+        "mean": lambda mu, alpha, r, tol, method: mean_occupation(mu, alpha, tol),
+        "moment": lambda mu, alpha, r, tol, method: r_moment(mu, alpha, r, tol),
+        "series": lambda mu, alpha, r, tol, method: oracle_moment(mu, alpha, r, tol),
+        "intercept": lambda mu, alpha, r, tol, method: intercept(mu, alpha, r, tol, method),
+    }
+
+    @staticmethod
+    def _assert_slots(curve, one_point, alphas):
+        assert len(curve.value) == len(curve.error_bound) == len(curve.method) == len(alphas)
+        for i, alpha in enumerate(alphas):
+            try:
+                want = one_point(alpha)
+            except (DomainError, ConvergenceError) as exc:
+                got = curve.failures[i]
+                assert type(got) is type(exc) and str(got) == str(exc), alpha
+                assert math.isnan(curve.value[i]) and math.isnan(curve.error_bound[i])
+                assert core._METHODS[curve.method[i]] == "failed"
+                continue
+            assert i not in curve.failures, alpha
+            assert float(curve.value[i]).hex() == want.value.hex(), alpha
+            assert float(curve.error_bound[i]).hex() == want.error_bound.hex(), alpha
+            assert core._METHODS[curve.method[i]] == want.method, alpha
+        assert set(curve.failures) <= set(range(len(alphas)))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1, 0.45, 1e-6])
+    @pytest.mark.parametrize("kind, r, method", [
+        ("mean", 1, "auto"), ("moment", 3, "auto"), ("series", 2, "auto"),
+        ("intercept", 2, "auto"), ("intercept", 3, "auto"), ("intercept", 3, "oracle"),
+        ("intercept", 3, "closed"),
+        # a route error fails every valid slot, after the invalid alphas
+        ("intercept", 1, "auto"), ("intercept", 2, "magic"), ("moment", 0, "auto")])
+    def test_curve(self, kind, r, method, mu):
+        curve = core._curve(kind, mu, self.ALPHAS, r, 1e-12, method)
+        self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
+                           self.ALPHAS)
+
+    @pytest.mark.parametrize("mu, method", [
+        (0.0, "auto"), (0.1, "auto"), (0.2, "oracle"), (1e-6, "auto"),
+        # lambda2 is rounding noise (1e100) or its powers underflow (1e300)
+        (1e100, "oracle"), (1e300, "oracle"),
+        # lambda2 has a closed form, lambda3 none: a route error after lambda2
+        (1e-100, "closed")])
+    def test_r3_curve(self, mu, method):
+        curve = core._r3_curve(mu, self.ALPHAS, 1e-12, method)
+        self._assert_slots(curve, lambda a: r3_function(mu, a, 1e-12, method), self.ALPHAS)
+
+    def test_convergence_failures_keep_their_slots(self, monkeypatch):
+        # with a budget of 40 terms the small alphas fail and the large converge
+        monkeypatch.setattr(core, "MAX_TERMS", 40)
+        alphas = [0.05, 8.4, math.nan, 0.3, 40.0, 1.0]
+        for kind, r in (("mean", 1), ("series", 3), ("intercept", 2)):
+            curve = core._curve(kind, 0.1, alphas, r, 1e-12)
+            assert 0 < len(curve.failures) < len(alphas)
+            assert any(isinstance(exc, ConvergenceError) for exc in curve.failures.values())
+            self._assert_slots(curve, lambda a: self.ONE_POINT[kind](0.1, a, r, 1e-12, "auto"),
+                               alphas)
+        curve = core._r3_curve(0.1, alphas, 1e-12)
+        self._assert_slots(curve, lambda a: r3_function(0.1, a, 1e-12), alphas)
+
+    def test_moment_cancelling_to_zero(self):
+        # the forced closed form at mu = 1e-100 sums the moment to 0: the
+        # value has an infinite bound, no warning and no ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = intercept(1e-100, 0.5, 2, method="closed")
+        assert res.error_bound == math.inf and res.method == CLOSED_FORM
+
+    def test_empty_curve(self):
+        curve = core._curve("intercept", 0.1, [], 2, 1e-12)
+        assert curve.value.size == 0 and not curve.failures
+        assert core._r3_curve(0.1, [], 1e-12).value.size == 0

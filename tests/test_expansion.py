@@ -14,6 +14,7 @@ from mubose import (
     taylor_moment,
     turning_point,
 )
+from mubose.expansion import ORACLE_TAIL_TOL
 
 LN2 = math.log(2.0)
 
@@ -125,6 +126,15 @@ class TestSeriesCoeffOracle:
     def test_insufficient_terms(self):
         with pytest.raises(ConvergenceError):
             series_coeff_oracle(8, 0, 0.5, n_max=20)
+
+    def test_stops_at_the_tail_tolerance(self):
+        # the default cap of 20,000 terms is not summed out: the sum stops
+        # within 60 terms at alpha = 1, where the tail bound is below 1e-12
+        full = series_coeff_oracle(3, 0, 1.0)
+        assert abs(full - series_coeff_oracle(3, 0, 1.0, n_max=60)) <= ORACLE_TAIL_TOL
+        assert full == series_coeff_oracle(3, 0, 1.0, n_max=60)
+        with pytest.raises(ConvergenceError):
+            series_coeff_oracle(3, 0, 1.0, n_max=20)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -4,8 +4,9 @@
 of the pure-Python backend before it summed whole curves; ``_lerch_loop``,
 ``_power_loop`` and ``_pq_oracle_loop`` are the loops of ``lerch_sum``,
 ``power_sum`` and ``pq_oracle_sum`` before they moved onto the block
-driver.  The kernels must reproduce them bit for bit, value, bound and
-term count.
+driver, ``_power_loop`` with the stop at the tail tolerance that
+``power_sum`` gained later.  The kernels must reproduce them bit for bit,
+value, bound and term count; the curve kernels return them as arrays.
 """
 
 import math
@@ -120,7 +121,7 @@ def _lerch_loop(z, a, atol, max_terms):
     return float(acc), float(err), n
 
 
-def _power_loop(s, l, alpha, n_max):
+def _power_loop(s, l, alpha, n_max, atol):
     z = np.exp(-_LD(alpha))
     acc = _ZERO
     zn = _ONE
@@ -131,17 +132,19 @@ def _power_loop(s, l, alpha, n_max):
             p *= x
         acc += p * zn
         zn *= z
-    rho = _ONE
-    for _ in range(s):
-        rho *= _LD(n_max + 2) / _LD(n_max + 1)
-    rho *= z
-    if rho < _ONE:
-        bound = _ONE
+        rho = _ONE
         for _ in range(s):
-            bound *= _LD(n_max + 1)
-        tail = bound * zn / (_ONE - rho)
-    else:
-        tail = _LD(np.inf)
+            rho *= _LD(n + 2) / _LD(n + 1)
+        rho *= z
+        if rho < _ONE:
+            bound = _ONE
+            for _ in range(s):
+                bound *= _LD(n + 1)
+            tail = bound * zn / (_ONE - rho)
+        else:
+            tail = _LD(np.inf)
+        if n >= l and tail < _LD(atol):
+            break
     return float(acc), float(tail)
 
 
@@ -203,9 +206,24 @@ FIGURE_ALPHAS = [math.hypot(139.57, 1000.0 * i / 1000) / T
                  for T in (120.0, 180.0) for i in range(1001)]
 
 
+def _columns(points):
+    """Loop results [(value, error_bound, terms_used), ...] as a curve kernel's arrays."""
+    value, err, terms = zip(*points) if points else ((), (), ())
+    return (np.array(value, dtype=np.float64), np.array(err, dtype=np.float64),
+            np.array(terms, dtype=np.int64))
+
+
+def _assert_same(got, want):
+    """Curve sums equal bit for bit: the dtype and every bit of each array."""
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def _check(batch, scalar, loop, mu, alphas, r, rtol, atol=0.0, max_terms=10**8):
     want = [loop(mu, a, r, rtol, atol, max_terms) for a in alphas]
-    assert batch(mu, alphas, r, rtol, atol, max_terms) == want
+    _assert_same(batch(mu, alphas, r, rtol, atol, max_terms), _columns(want))
     assert [scalar(mu, a, r, rtol, atol, max_terms) for a in alphas] == want
     return want
 
@@ -224,7 +242,8 @@ class TestClosedMomentSums:
                                              (0.1, 3, 1e-12 / 128)])
     def test_figure_grid(self, mu, r, rtol):
         want = [_closed_loop(mu, a, r, rtol, 0.0, 10**8) for a in FIGURE_ALPHAS]
-        assert kp.closed_moment_sums(mu, FIGURE_ALPHAS, r, rtol, 0.0, 10**8) == want
+        _assert_same(kp.closed_moment_sums(mu, FIGURE_ALPHAS, r, rtol, 0.0, 10**8),
+                     _columns(want))
 
     @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
     def test_exhausted_budget(self, max_terms):
@@ -237,7 +256,7 @@ class TestClosedMomentSums:
                0.2, [0.5, 3.0, 9.0], 2, 1e-15, atol=1e-6)
 
     def test_empty_curve(self):
-        assert kp.closed_moment_sums(0.1, [], 2, 1e-13, 0.0, 10**8) == []
+        _assert_same(kp.closed_moment_sums(0.1, [], 2, 1e-13, 0.0, 10**8), _columns([]))
 
 
 class TestClosedCondition:
@@ -277,7 +296,8 @@ class TestOracleMomentSums:
     @pytest.mark.parametrize("mu, r, rtol", [(0.0, 1, 1e-12), (0.2, 3, 1e-12 / 128)])
     def test_figure_grid(self, mu, r, rtol):
         want = [_oracle_loop(mu, a, r, rtol, 0.0, 10**8) for a in FIGURE_ALPHAS]
-        assert kp.oracle_moment_sums(mu, FIGURE_ALPHAS, r, rtol, 0.0, 10**8) == want
+        _assert_same(kp.oracle_moment_sums(mu, FIGURE_ALPHAS, r, rtol, 0.0, 10**8),
+                     _columns(want))
 
     @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
     def test_exhausted_budget(self, max_terms):
@@ -300,9 +320,9 @@ def test_rows_beyond_the_block_cap():
     alphas = list(np.linspace(0.5, 5.0, 2**15 + 7))
     for batch in (kp.closed_moment_sums, kp.oracle_moment_sums):
         whole = batch(0.1, alphas, 2, 1e-13, 0.0, 10**8)
-        parts = batch(0.1, alphas[:1000], 2, 1e-13, 0.0, 10**8) + batch(
-            0.1, alphas[1000:], 2, 1e-13, 0.0, 10**8)
-        assert whole == parts
+        head = batch(0.1, alphas[:1000], 2, 1e-13, 0.0, 10**8)
+        rest = batch(0.1, alphas[1000:], 2, 1e-13, 0.0, 10**8)
+        _assert_same(whole, [np.concatenate(pair) for pair in zip(head, rest)])
 
 
 #: z -> 1 (alpha = 1e-3): sums of 24,000 to 31,000 terms, over many blocks
@@ -328,27 +348,38 @@ class TestLerchSum:
 
 
 class TestPowerSum:
+    # atol = 0 sums every term up to n_max; 1e-12 stops early except at small alpha
+    @pytest.mark.parametrize("atol", [0.0, 1e-12, 1e-3])
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
-    def test_matches_loop(self, s):
+    def test_matches_loop(self, s, atol):
         for l in (0, 1, 3):
             for alpha in (0.05, 1.0, 3.0):
                 for n_max in (l + 1, 60, 700):
-                    assert kp.power_sum(s, l, alpha, n_max) == _power_loop(s, l, alpha, n_max)
+                    want = _power_loop(s, l, alpha, n_max, atol)
+                    assert kp.power_sum(s, l, alpha, n_max, atol) == want
 
     @pytest.mark.parametrize("terms", [1, 5, 16, 37])
     def test_term_budgets(self, terms):
         for s, l in ((0, 0), (3, 2)):
-            assert kp.power_sum(s, l, 0.1, terms - 1) == _power_loop(s, l, 0.1, terms - 1)
+            want = _power_loop(s, l, 0.1, terms - 1, 0.0)
+            assert kp.power_sum(s, l, 0.1, terms - 1, 0.0) == want
 
     def test_longer_than_a_block(self):
-        assert kp.power_sum(3, 1, 1e-3, 25000) == _power_loop(3, 1, 1e-3, 25000)
+        assert kp.power_sum(3, 1, 1e-3, 25000, 1e-12) == _power_loop(3, 1, 1e-3, 25000, 1e-12)
+
+    def test_stop_in_a_later_block(self):
+        # the tail bound falls below atol after about 20,000 terms, many
+        # blocks in, and well before the cap
+        want = _power_loop(3, 1, 3.2e-3, 40000, 1e-12)
+        assert want[1] < 1e-12 and want != _power_loop(3, 1, 3.2e-3, 40000, 0.0)
+        assert kp.power_sum(3, 1, 3.2e-3, 40000, 1e-12) == want
 
     def test_divergent_ratio(self):
         # rho >= 1 at the last term: the tail is infinite and no warning escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            acc, tail = kp.power_sum(8, 0, 0.5, 3)
-        assert (acc, tail) == _power_loop(8, 0, 0.5, 3) and tail == math.inf
+            acc, tail = kp.power_sum(8, 0, 0.5, 3, 1e-12)
+        assert (acc, tail) == _power_loop(8, 0, 0.5, 3, 1e-12) and tail == math.inf
 
 
 #: (p, q): the undeformed p = q = 1, p = q < 1 and p > q
