@@ -231,7 +231,7 @@ def power_sum(s: int, l: int, alpha: float, n_max: int, atol: float):
 
     def block(active, first, width):
         n = np.arange(first, first + width).astype(_LD)
-        x = np.arange(first - l, first + width - l).astype(_LD)
+        x = n - l
         p = np.ones(width, dtype=_LD)
         for _ in range(s):
             p *= x

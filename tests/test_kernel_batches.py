@@ -348,15 +348,15 @@ class TestLerchSum:
 
 
 class TestPowerSum:
-    # atol = 0 sums every term up to n_max; 1e-12 stops early except at small alpha
-    @pytest.mark.parametrize("atol", [0.0, 1e-12, 1e-3])
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 5])
-    def test_matches_loop(self, s, atol):
-        for l in (0, 1, 3):
-            for alpha in (0.05, 1.0, 3.0):
-                for n_max in (l + 1, 60, 700):
-                    want = _power_loop(s, l, alpha, n_max, atol)
-                    assert kp.power_sum(s, l, alpha, n_max, atol) == want
+    def test_matches_loop(self, s):
+        # atol = 0 sums every term up to n_max; the others stop where the tail allows
+        for atol in (0.0, 1e-12, 1e-3):
+            for l in (0, 1, 3):
+                for alpha in (0.05, 1.0, 3.0):
+                    for n_max in (l + 1, 60, 700):
+                        want = _power_loop(s, l, alpha, n_max, atol)
+                        assert kp.power_sum(s, l, alpha, n_max, atol) == want
 
     @pytest.mark.parametrize("terms", [1, 5, 16, 37])
     def test_term_budgets(self, terms):
