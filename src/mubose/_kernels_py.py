@@ -19,6 +19,11 @@ other kernels are one-point sums and return Python numbers.
 
 from __future__ import annotations
 
+import functools
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 
 from .errors import DBL_EPS
@@ -54,6 +59,30 @@ def _a_tilde(mu: _LD, r: int) -> list:
         nxt.append(-powm - acc)
         coeffs = nxt
     return coeffs
+
+
+def _a_tilde_product(mu: _LD, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of :func:`_a_tilde` as residue products, with absolute error bounds.
+
+    The residue of P(n) at 1 + mu(n-l) = 0 gives
+    A_l = -prod_{j != l} (1 - 1/(mu(l-j))), so
+    Atilde_l = -prod_{j != l} f_lj with f_lj = mu + 1/(j-l).  Each factor
+    is rounded with an absolute error below d_lj = EPS (mu + 1/|j-l|),
+    also where mu + 1/(j-l) cancels on the lattice mu = 1/k, and the
+    r - 1 products round by at most r EPS relative, so
+    |error| <= prod (|f_lj| + d_lj) (1 + r EPS) - prod |f_lj|, formed here
+    with 2r EPS to cover the rounding of that difference.  The recurrence
+    sums terms that cancel (the relative error of its last coefficient
+    reaches 1e21 EPS at r = 8), so it offers no such bound.
+    """
+    lag = np.arange(r)[None, :] - np.arange(r)[:, None]  # j - l
+    off = lag != 0
+    inv = np.where(off, _ONE / np.where(off, lag, 1).astype(_LD), _ZERO)
+    factors = np.where(off, mu + inv, _ONE)
+    slack = np.where(off, _EPS_LD * (mu + abs(inv)), _ZERO)
+    size = np.prod(abs(factors), axis=1)
+    err = np.prod(abs(factors) + slack, axis=1) * (_ONE + 2 * r * _EPS_LD) - size
+    return -np.prod(factors, axis=1), err
 
 
 def a_coeff_values(r: int, mu: float) -> list:
@@ -323,6 +352,224 @@ def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
                       atol: float, max_terms: int):
     """:func:`closed_moment_sums` at one alpha: ``(value, error_bound, terms_used)``."""
     return _first(closed_moment_sums(mu, (alpha,), r, rtol, atol, max_terms))
+
+
+#: most terms of the Bernoulli series in the z -> 1 expansion of Phi
+EXPANSION_TERMS = 24
+#: rounding of one expanded Phi, in EPS times its sum of magnitudes: the
+#: Bernoulli coefficients and powers (2 per term), the sum of the terms (1
+#: per term), digamma's shifts and series (below 32) and the exponential
+_EXPANSION_ROUNDING = 3 * EXPANSION_TERMS + 40
+#: digamma's asymptotic series is summed from this argument up, through B_16
+_PSI_FROM = 16
+_PSI_TERMS = 8
+_EULER = _LD("0.577215664901532860606512090082402431")
+_PI = _LD("3.14159265358979323846264338327950288")
+
+
+def _to_ld(x: Fraction) -> _LD:
+    """A rational rounded to long double through a 30-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 30
+        return _LD(str(Decimal(x.numerator) / Decimal(x.denominator)))
+
+
+@functools.cache
+def _bernoulli() -> tuple[np.ndarray, np.ndarray]:
+    """(B_i / i!, B_i) for i = 0..EXPANSION_TERMS in long double, built on first use.
+
+    Exact rationals from sum_{j<=m} C(m+1, j) B_j = 0, so B_1 = -1/2, each
+    rounded once.
+    """
+    b = [Fraction(1)]
+    for m in range(1, EXPANSION_TERMS + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    over_fact = np.array([_to_ld(x / math.factorial(i)) for i, x in enumerate(b)])
+    return over_fact, np.array([_to_ld(x) for x in b])
+
+
+def _digamma(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi(b) for b > 0: ``(value, magnitude, truncation)`` per element.
+
+    An argument below ``_PSI_FROM`` is shifted up by n steps with
+    psi(b) = psi(b + n) - sum_{j<n} 1/(b + j).  At x = b + n,
+    psi(x) = ln x - 1/(2x) - sum_{k=1}^{8} B_2k / (2k x^2k), and for real
+    x > 0 the remainder is at most the first omitted term,
+    |B_18| / (18 x^18) (DLMF 5.11.ii), below 7e-22.  ``magnitude`` sums
+    the absolute values of the rounded parts.
+    """
+    bern = _bernoulli()[1]
+    shifts = np.maximum(np.ceil(_PSI_FROM - b), _ZERO)
+    j = np.arange(_PSI_FROM).astype(_LD)
+    steps = np.where(j < shifts[:, None], _ONE / (b[:, None] + j), _ZERO)
+    shift = steps.sum(axis=1)
+    x = b + shifts
+    inv2 = _ONE / (x * x)
+    k = np.arange(1, _PSI_TERMS + 1)
+    terms = bern[2 * k] / (2 * k) * np.cumprod(np.broadcast_to(inv2[:, None], (b.size, _PSI_TERMS)),
+                                               axis=1)
+    value = np.log(x) - _ONE / (2 * x) - terms.sum(axis=1) - shift
+    magnitude = abs(np.log(x)) + _ONE / (2 * x) + abs(terms).sum(axis=1) + shift
+    trunc = abs(bern[2 * _PSI_TERMS + 2]) / (2 * _PSI_TERMS + 2) * inv2**(_PSI_TERMS + 1)
+    return value, magnitude, trunc
+
+
+def _lerch_expansion(alpha: np.ndarray, b: np.ndarray):
+    """Phi(e^-alpha, 1, b) near z = 1, term by term, for every alpha and shift b > 0.
+
+    The expansion (DLMF 25.14; Erdelyi et al., Higher Transcendental
+    Functions I, 1.11) is
+
+        Phi(e^-alpha, 1, b) = e^(b alpha) [-ln alpha - gamma - psi(b)
+                               + sum_{k>=1} (-1)^(k+1) beta_k alpha^k / k],
+
+    with beta_k = B_k(b) / k! the Taylor coefficients of
+    g(t) = t e^(bt) / (e^t - 1), which is analytic for |t| < 2 pi.
+    Returns arrays over (alpha, b): ``head`` = e^(b alpha)
+    (-ln alpha - gamma - psi(b)); ``steps[..., k-1]``, the k-th series
+    term times e^(b alpha); ``tails[..., k-1]``, a bound on the error of
+    head plus the first k steps; and ``magnitude``, the sum of the
+    magnitudes of every rounded part, times e^(b alpha).
+
+    Truncation.  On |t| = rho <= pi,
+    |e^t - 1|^2 = (e^x - 1)^2 + 4 e^x sin^2(y/2) with t = x + iy, and
+    sin u >= 2u/pi gives |e^t - 1| >= (2 rho / pi) min(1, e^x), so
+    |g| <= M = (pi/2) e^(rho s) with s = max(b, 1 - b).  Cauchy's estimate
+    |beta_k| <= M / rho^k bounds the series after k terms by
+    M q^(k+1) / ((k+1)(1 - q)), q = alpha / rho, and rho = min(pi, (k+1)/s)
+    minimises it.  digamma's truncation is added.
+
+    Scaling.  beta_k alpha^k = sum_{i+j=k} (B_i / (i! c^i))
+    ((b/c)^j / j!) (c alpha)^k with c = max(b, 1), so no power of a
+    large b overflows.
+    """
+    over_fact, _ = _bernoulli()
+    n = EXPANSION_TERMS
+    c = np.maximum(b, _ONE)
+    steps_j = np.arange(1, n + 1).astype(_LD)
+    # u[l, i] = B_i / (i! c^i), v[l, j] = (b/c)^j / j!, both for 0..n
+    u = over_fact * np.concatenate([np.ones((b.size, 1), _LD),
+                                    np.cumprod(np.broadcast_to(_ONE / c[:, None], (b.size, n)),
+                                               axis=1)], axis=1)
+    v = np.concatenate([np.ones((b.size, 1), _LD),
+                        np.cumprod((b / c)[:, None] / steps_j, axis=1)], axis=1)
+    lag = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]  # k - i
+    toeplitz = np.where(lag >= 0, v[:, np.clip(lag, 0, n)], _ZERO)  # [l, i, k] = v[l, k-i]
+    beta = np.einsum("li,lik->lk", u, toeplitz)[:, 1:]
+    beta_abs = np.einsum("li,lik->lk", abs(u), toeplitz)[:, 1:]
+    sign = np.where(np.arange(1, n + 1) % 2 == 1, _ONE, -_ONE)
+    coef = sign * beta / steps_j
+    coef_abs = beta_abs / steps_j
+
+    a = alpha[:, None, None]
+    powers = np.cumprod(np.broadcast_to((alpha[:, None] * c)[:, :, None], (alpha.size, b.size, n)),
+                        axis=2)
+    grow = np.exp(b * alpha[:, None])
+    psi, psi_mag, psi_trunc = _digamma(b)
+    log_alpha = np.log(alpha)
+    head = grow * (-(log_alpha + _EULER)[:, None] - psi)
+    steps = grow[:, :, None] * coef * powers
+    magnitude = grow * ((abs(log_alpha) + _EULER)[:, None] + psi_mag
+                        + (coef_abs * powers).sum(axis=2))
+
+    s = np.maximum(b, _ONE - b)[:, None]
+    rho = np.minimum(_PI, (steps_j + 1) / s)
+    cauchy = _PI / 2 * np.exp(rho * s)
+    q = a / rho
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        series_tail = np.where(q < _ONE, cauchy * q**(steps_j + 1) / ((steps_j + 1) * (_ONE - q)),
+                               _LD(np.inf))
+    tails = grow[:, :, None] * (series_tail + psi_trunc[:, None])
+    return head, steps, tails, magnitude
+
+
+def _first_stop(stop: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis of each row, or the last index."""
+    return np.where(stop.any(axis=-1), stop.argmax(axis=-1), stop.shape[-1] - 1)
+
+
+def closed_moment_expansion(mu: float, alphas,
+                            r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moment of :func:`closed_moment_sums` through the z -> 1 expansion of Phi, per alpha.
+
+    Partial fractions of the rearranged sum,
+    1/((1+mu x)(1+mu(x-1))) = mu^-1 [1/(1+mu(x-1)) - 1/(1+mu x)], give
+
+        M_r = -mu^(-2r) z^r sum_l Atilde_l [Phi(z,1,b_l) - Phi(z,1,b_l+1)],
+        b_l = 1/mu + r - l - 1 >= 1/mu,
+
+    with every shift positive, so no mu needs pole handling.  Two exact
+    identities remove the large, nearly equal Phi values:
+    Phi(z,1,b) - Phi(z,1,b+1) = (1 - 1/z) Phi(z,1,b) + 1/(b z), and
+    sum_l Atilde_l / b_l = -mu^r (the sum telescopes to
+    lim P(n) - P(r-1) = mu^-r).  Hence
+
+        M_r = mu^-r z^(r-1) [1 + (1-z) mu^-r sum_l Atilde_l Phi(z,1,b_l)],
+
+    each Phi from :func:`_lerch_expansion`.  Every term is formed at a
+    cost that does not depend on alpha, so no tolerance is taken: a point
+    stops at the first k whose truncation bound is below EPS |value|,
+    where further terms no longer move the long-double value, or uses all
+    ``EXPANSION_TERMS``; the caller compares the bound with its tolerance.
+
+    The error bound adds the truncation, the rounding of every Phi
+    (``_EXPANSION_ROUNDING`` EPS times its magnitudes, plus 2 EPS (1 + 1/b)
+    for the rounding of b through |dPhi/db| <= 1/b^2 + 1/b), the
+    coefficient errors of :func:`_a_tilde_product` times |Phi|, the
+    rounding of the combination, and the final rounding to double.  The
+    bound is finite wherever the series converges, alpha < pi; it is small
+    only where alpha (1/mu + r) is well below 1, where e^(b alpha) stays
+    near 1.  The sum over l still cancels by about mu^-r, so at small mu
+    and large r the bound can miss a tight tolerance.  Returns the arrays
+    ``(value, error_bound, terms_used)`` over alpha, terms counting
+    Bernoulli terms.
+    """
+    mu_ld = _LD(mu)
+    alpha = np.asarray(alphas, dtype=_LD)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coeffs, coeff_errs = _a_tilde_product(mu_ld, r)
+        b = _ONE / mu_ld + np.arange(r - 1, -1, -1).astype(_LD)
+        head, steps, tails, magnitude = _lerch_expansion(alpha, b)
+        inv_mu_r = _ONE
+        for _ in range(r):
+            inv_mu_r /= mu_ld
+        front = inv_mu_r * np.exp(-alpha * (r - 1))
+        pre = -np.expm1(-alpha) * inv_mu_r
+        phis = head[:, :, None] + np.cumsum(steps, axis=2)
+        sums = np.einsum("l,nlk->nk", coeffs, phis)
+        values = front[:, None] * (_ONE + pre[:, None] * sums)
+        truncs = (front * pre)[:, None] * np.einsum("l,nlk->nk", abs(coeffs), tails)
+        at = _first_stop(truncs <= _EPS_LD * abs(values))
+        pick = np.arange(alpha.size)
+        value, trunc, s_val = values[pick, at], truncs[pick, at], sums[pick, at]
+        phi_err = _EPS_LD * (_EXPANSION_ROUNDING * magnitude + 2 * (_ONE + _ONE / b))
+        s_err = ((abs(coeffs) * phi_err).sum(axis=1) + (coeff_errs * magnitude).sum(axis=1)
+                 + _EPS_LD * (r + 2) * (abs(coeffs) * magnitude).sum(axis=1))
+        inner_err = pre * s_err + _EPS_LD * (r + 6) * (_ONE + abs(pre * s_val))
+        err = front * inner_err + trunc + _DBL_EPS * abs(value)
+    return _curve_sums(value, err, (at + 1).astype(np.int64))
+
+
+def lerch_expansion(z: float, a: float):
+    """Phi(z, 1, a) by :func:`_lerch_expansion`: ``(value, error_bound, terms_used)``.
+
+    alpha = -ln z is formed as -log1p(z - 1), with z - 1 exact for
+    z >= 1/2 and a relative error below 2 EPS; |dPhi/dalpha| <= z/(1-z),
+    so that error moves Phi by at most 2 EPS alpha / (e^alpha - 1) <= 2 EPS.
+    The sum stops at the first k whose truncation bound is below
+    EPS |value|, or uses all ``EXPANSION_TERMS``.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha = -np.log1p(np.array([z], dtype=_LD) - _ONE)
+        b = np.array([a], dtype=_LD)
+        head, steps, tails, magnitude = _lerch_expansion(alpha, b)
+        phis = head[0, 0] + np.cumsum(steps[0, 0])
+        at = int(_first_stop(tails[0, 0] <= _EPS_LD * abs(phis)))
+        value = phis[at]
+        err = (tails[0, 0, at] + _EPS_LD * (_EXPANSION_ROUNDING * magnitude[0, 0]
+                                           + 2 * (_ONE + _ONE / b[0]) + 2)
+               + _DBL_EPS * abs(value))
+    return float(value), float(err), at + 1
 
 
 def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,

@@ -292,11 +292,34 @@ def _cell_format(column: tuple) -> str | None:
     return None
 
 
+#: the JSON text of the %.12g words that are not JSON numbers, as _json_cell maps them
+_JSON_WORDS = {"nan": "null", "inf": '"inf"', "-inf": '"-inf"'}
+
+
+def _json_column(column: tuple) -> list[str]:
+    """The JSON text of each cell of a column, as ``json.dumps`` writes its :func:`_json_cell`.
+
+    json writes a float by ``float.__repr__``; a column of str and int
+    cells repeats few values, so each distinct cell is encoded once.
+    """
+    types = set(map(type, column))
+    if types == {float}:
+        return [_JSON_WORDS.get(text) or repr(float(text))
+                for text in map("%.12g".__mod__, column)]
+    if types <= {str, int}:
+        seen: dict = {}
+        return [seen[x] if x in seen else seen.setdefault(x, json.dumps(x)) for x in column]
+    return [json.dumps(_json_cell(x)) for x in column]
+
+
 def render(rows: list, header: tuple[str, ...], fmt: str) -> str:
     """Rows -> CSV text or a JSON array of flat objects (both newline-terminated).
 
     Where every column has a %-format, each CSV row is printed by one
-    %-format of the whole row rather than cell by cell.
+    %-format of the whole row rather than cell by cell.  JSON is the text
+    of ``json.dumps(objects, indent=2)``, written by one %-format per row
+    from the cells' JSON text, without the pure-Python encoder that
+    ``indent`` selects.
     """
     if fmt == "csv":
         cells = [_cell_format(column) for column in zip(*rows)]
@@ -305,8 +328,12 @@ def render(rows: list, header: tuple[str, ...], fmt: str) -> str:
         else:
             lines = map(",".join(cells).__mod__, rows)
         return "\n".join([",".join(header), *lines]) + "\n"
-    objs = [{name: _json_cell(cell) for name, cell in zip(header, row)} for row in rows]
-    return json.dumps(objs, indent=2) + "\n"
+    if not rows:
+        return "[]\n"
+    fields = ",\n".join("    " + json.dumps(name).replace("%", "%%") + ": %s" for name in header)
+    row_format = "  {\n" + fields + "\n  }"
+    columns = [_json_column(column) for column in zip(*rows)]
+    return "[\n" + ",\n".join(map(row_format.__mod__, zip(*columns))) + "\n]\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

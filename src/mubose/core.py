@@ -25,6 +25,7 @@ import numpy as np
 from ._backend import kernels
 from .errors import (
     DBL_EPS,
+    EXPANSION_REACH,
     MAX_TERMS,
     ConvergenceError,
     DomainError,
@@ -205,25 +206,89 @@ class _Curve:
         self.failures[i] = exc
 
 
+def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) -> np.ndarray:
+    """Where a series sum at ``a`` cannot pass its stopping test within ``MAX_TERMS`` - 1 terms.
+
+    Such a sum would run to its budget and then fail, so it is failed
+    without summing.  Let n = MAX_TERMS - 1 and z = e^-alpha.  Both kernels
+    stop after t terms once g tail_t <= max(atol, rtol |partial value|),
+    and tail_t falls with t, so no t <= n passes where a lower bound of
+    tail_n exceeds twice an upper bound of the right side (the factor 2
+    absorbs rounding):
+
+    - oracle: the tail after term r+n-1 is
+      (r+n)^r z^(r+n) / (1 - rho) >= (r+n)^r z^(r+n), times g = 1 - z; each
+      product of r structure functions is below mu^-r and g sum_n z^n <= 1,
+      so the partial value is below mu^-r (no bound at mu = 0).
+    - closed form: the tail is K mu^(2-2r) z^(r+n) / ((1+mu(n+1))(1+mu n) g)
+      with K = sum_l |Atilde_l|, and g = 1.  The partial value is at most
+      mu^(2-2r) sum_m z^m sum_l |Atilde_l| / ((1+mu(m-l))(1+mu(m-l-1))),
+      below K mu^(2-2r) min(1/g, 1 + 1/mu), since each denominator is at
+      least (1+mu j)^2 for j = m - r and sum_j (1+mu j)^-2 <= 1 + 1/mu.
+      ``closed_condition`` kappa divides mu^(2-2r) times those r
+      quotients at m = r by [r]_mu!, and their denominators lie in
+      [1, (1+mu r)(1+mu(r-1))], so
+      kappa [r]_mu! <= K mu^(2-2r) <= kappa [r]_mu! (1+mu r)(1+mu(r-1)).
+    """
+    n = MAX_TERMS - 1
+    log_g = np.log(-np.expm1(-a))
+    if closed:
+        kappa = kernels.closed_condition(mu, r)
+        if kappa == math.inf:
+            return np.zeros(a.size, dtype=bool)
+        low = math.log(kappa) + math.fsum(math.log(j) - math.log1p(mu * j)
+                                          for j in range(1, r + 1))
+        high = low + math.log1p(mu * r) + math.log1p(mu * (r - 1))
+        log_tail = low - a * (r + n) - math.log1p(mu * (n + 1)) - math.log1p(mu * n) - log_g
+        log_size = high + np.minimum(-log_g, math.log1p(1.0 / mu))
+    else:
+        log_tail = log_g + r * math.log(r + n) - a * (r + n)
+        log_size = -r * math.log(mu) if mu > 0.0 else math.inf
+    return log_tail > math.log(2.0) + np.maximum(math.log(_TINY), math.log(rtol) + log_size)
+
+
 def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float,
           closed: bool, curve: _Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, error, converged) of the r-th moment at ``alphas[todo]`` in one kernel call.
+    """(value, error, converged) of the r-th moment at ``alphas[todo]``, in one call per kernel.
 
-    A sum also stops once its tail is below ``_TINY``, which no double
-    result can resolve: a moment below the long-double range sums to 0,
-    so no relative test could stop it.  Each bound adds ``_TINY``, the
-    absolute error of a value that underflows as it is rounded to a
-    double.  A point whose sum used the whole term budget has not
-    converged, and its slot of ``curve`` fails with a ConvergenceError.
+    The closed form takes each point with alpha (1/mu + r) <= EXPANSION_REACH
+    from the z -> 1 expansion of the Lerch transcendent
+    (``kernels.closed_moment_expansion``), whose cost does not grow as
+    alpha falls.  A point whose expansion bound misses rtol |value| plus
+    the final rounding to double goes to the series with the rest.
+
+    A series sum also stops once its tail is below ``_TINY``, which no
+    double result can resolve: a moment below the long-double range sums
+    to 0, so no relative test could stop it.  Each bound adds ``_TINY``,
+    the absolute error of a value that underflows as it is rounded to a
+    double.  A point whose sum would use, or used, the whole term budget
+    has not converged (see :func:`_beyond_budget`), and its slot of
+    ``curve`` fails with a ConvergenceError.
     """
+    a = alphas[todo]
+    value, err = np.empty(a.size), np.empty(a.size)
+    series = np.ones(a.size, dtype=bool)
     if closed:
+        near = np.flatnonzero(a * (1.0 / mu + r) <= EXPANSION_REACH)
+        if near.size:
+            v, e, _ = kernels.closed_moment_expansion(mu, a[near], r)
+            ok = e <= np.maximum(_TINY, (rtol + DBL_EPS) * np.abs(v))
+            near = near[ok]
+            value[near], err[near] = v[ok], e[ok]
+            series[near] = False
         sums, what = kernels.closed_moment_sums, "closed-form moment"
     else:
         sums, what = kernels.oracle_moment_sums, "oracle moment"
-    value, err, terms = sums(mu, alphas[todo], r, rtol, _TINY, MAX_TERMS)
-    converged = terms < MAX_TERMS
-    for i in todo[~converged].tolist():
-        curve.fail(i, _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(alphas[i]), r=r))
+    rest = np.flatnonzero(series)
+    hopeless = _beyond_budget(mu, a[rest], r, rtol, closed)
+    run = rest[~hopeless]
+    converged = np.ones(a.size, dtype=bool)
+    converged[rest[hopeless]] = False
+    if run.size:
+        value[run], err[run], terms = sums(mu, a[run], r, rtol, _TINY, MAX_TERMS)
+        converged[run[terms >= MAX_TERMS]] = False
+    for i in np.flatnonzero(~converged).tolist():
+        curve.fail(int(todo[i]), _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(a[i]), r=r))
     return value, err + _TINY, converged
 
 

@@ -13,6 +13,12 @@ MAX_ORDER = 64
 #: term budget of every kernel series sum
 MAX_TERMS = 10**8
 
+#: largest alpha times the largest Lerch shift at which Phi(e^-alpha, 1, a) is
+#: taken from its z -> 1 expansion: there e^(a alpha) stays below e^0.5, so its
+#: terms barely cancel, and 24 Bernoulli terms leave a tail below 1e-19.  The
+#: smallest alpha of the figure presets, 0.775, lies beyond it.
+EXPANSION_REACH = 0.5
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ._backend import kernels
-from .errors import MAX_TERMS, DomainError, _check_tol, _converged
+from .errors import EXPANSION_REACH, MAX_TERMS, DomainError, _check_tol, _converged
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,25 @@ class LerchQuery:
 def lerch_phi_s1(query: LerchQuery, max_terms: int = MAX_TERMS) -> float:
     """Lerch transcendent Phi(z, 1, a) = sum_{n>=0} z^n / (a + n).
 
-    Summed directly; the tail after N terms is bounded by
-    z^(N+1) / ((a + N + 1)(1 - z)), and summation stops once that bound
-    drops below ``query.tol``.
+    Where alpha = -ln z has alpha max(a, 1) <= EXPANSION_REACH, Phi is
+    taken from its z -> 1 expansion (``kernels.lerch_expansion``), whose
+    cost does not grow as z -> 1, if that expansion's error bound is
+    within ``query.tol``.  Otherwise it is summed directly: the tail after
+    N terms is bounded by z^(N+1) / ((a + N + 1)(1 - z)), and summation
+    stops once that bound drops below ``query.tol``.
 
     Raises
     ------
     ConvergenceError
-        If the bound cannot reach the tolerance within ``max_terms``.
+        If the direct sum's bound cannot reach the tolerance within ``max_terms``.
     """
-    value, _err = _converged(kernels.lerch_sum(query.z, query.a, query.tol, max_terms),
-                             max_terms, "lerch sum", z=query.z, a=query.a, tol=query.tol)
+    z, a, tol = query.z, query.a, query.tol
+    if z > 0.0 and -math.log(z) * max(a, 1.0) <= EXPANSION_REACH:
+        value, err, _ = kernels.lerch_expansion(z, a)
+        if err <= tol:
+            return value
+    value, _err = _converged(kernels.lerch_sum(z, a, tol, max_terms),
+                             max_terms, "lerch sum", z=z, a=a, tol=tol)
     return value
 
 

@@ -16,6 +16,7 @@ from mubose.cli import (
     FIGURE_MUS,
     GRID_HEADER,
     GridSpec,
+    _json_cell,
     figure_records,
     intercept_records,
     main,
@@ -406,6 +407,17 @@ class TestRender:
               r.method) for r in records], GRID_HEADER, "json"))
         assert data[0]["value"] is None
         assert data[-1]["k_mev"] == "inf"
+
+    def test_json_is_the_indented_encoding(self):
+        # every kind of cell the tables hold, against the encoder the text replaces
+        rows = [("d\u00e9f", 0.0, 120.0, 0.1, 2, 1.0 / 3.0, 0.0, "closed_form"),
+                ("x", math.inf, -0.0, 5e-324, 3, math.nan, -math.inf, "failed"),
+                ("x", 1e300, 1e-300, 123456789.123, 4, -2.5, 1e16, "oracle+overtol")]
+        for header, table in ((GRID_HEADER, rows), (("l", "a_l"), [(0, -1.0), (1, True)]),
+                              (GRID_HEADER, [])):
+            want = json.dumps([{name: _json_cell(cell) for name, cell in zip(header, row)}
+                               for row in table], indent=2) + "\n"
+            assert render(table, header, "json") == want
 
     def test_twelve_significant_digits(self):
         text = render([("x", 1.0, 1.0, 0.1, 2, 1.0 / 3.0, 0.0, "m")],

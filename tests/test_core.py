@@ -1,13 +1,19 @@
 """Thermal moments, intercepts, and asymptotics of the mu-Bose gas."""
 
 import math
+import time
 import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubose import core
+from mubose._backend import kernels
+from mubose.core import DEFAULT_TOL
+from mubose.partfrac import _exact_coeffs
 from mubose import (
     ASYMPTOTIC,
     CLOSED_FORM,
@@ -16,9 +22,11 @@ from mubose import (
     CorrelationResult,
     DeformationMu,
     DomainError,
+    LerchQuery,
     ThermoPoint,
     intercept,
     intercept_asymptotic,
+    lerch_phi_s1,
     mean_occupation,
     mu_bracket,
     mu_factorial,
@@ -462,6 +470,120 @@ class TestWholeDomain:
         assert intercept(0.75, 1.0, 3).method == CLOSED_FORM
 
 
+def _shift_form(mu, alpha, r, z=None):
+    """60-digit (mean, r-th moment) from the positive-shift Lerch form.
+
+    M_r = -mu^(-2r) z^r sum_l Atilde_l [Phi(z,1,b_l) - Phi(z,1,b_l+1)] with
+    b_l = 1/mu + r - l - 1, exact rational Atilde_l = mu^(r-1) A_l, one
+    ``mpmath.lerchphi`` at b = 1/mu and Phi(z,1,b+1) = (Phi(z,1,b) - 1/b)/z
+    for the other shifts.  Ten digits more per decade of 1/mu^(2r) cover
+    the cancellation of the sum.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    dps = 60 + math.ceil(2 * r * max(0.0, -math.log10(mu)))
+    with mpmath.workdps(dps):
+        m = mpmath.mpf(mu)
+        z = mpmath.exp(-mpmath.mpf(alpha)) if z is None else mpmath.mpf(z)
+        phis = [mpmath.lerchphi(z, 1, 1 / m)]
+        for j in range(r):
+            phis.append((phis[-1] - 1 / (1 / m + j)) / z)
+
+        def moment(order):
+            total = mpmath.mpf(0)
+            for l, a_l in enumerate(_exact_coeffs(order, Fraction(mu))):
+                a_tilde = mpmath.mpf(a_l.numerator) / a_l.denominator * m ** (order - 1)
+                j = order - l - 1
+                total += a_tilde * (phis[j] - phis[j + 1])
+            return -(m ** (-2 * order)) * z**order * total
+
+        return moment(1), moment(r)
+
+
+class TestSmallAlpha:
+    """alpha down to 1e-12, where the closed form goes through the z -> 1 expansion."""
+
+    @settings(max_examples=30)
+    @given(
+        mu=st.one_of(st.sampled_from([1.0 / j for j in range(1, 7)]),
+                     st.floats(min_value=0.05, max_value=4.0)),
+        r=st.integers(min_value=1, max_value=8),
+        alpha=st.floats(min_value=math.log(1e-12), max_value=math.log(0.5)).map(math.exp),
+    )
+    def test_bounds_hold(self, mu, r, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        mean, moment = _shift_form(mu, alpha, r)
+        _assert_within_bound(mean_occupation(mu, alpha), mean)
+        query = LerchQuery(math.exp(-alpha), 1.0 / mu)
+        with mpmath.workdps(60):
+            phi = mpmath.lerchphi(mpmath.mpf(query.z), 1, mpmath.mpf(query.a))
+        assert abs(lerch_phi_s1(query) - phi) <= query.tol
+        # the oracle route (r >= 4 at small mu) costs 1/alpha terms: large alphas only
+        if not (core._route("moment", mu, r, DEFAULT_TOL, "auto") or alpha >= 1e-2):
+            return
+        _assert_within_bound(r_moment(mu, alpha, r), moment)
+        if r >= 2:
+            want = moment / mean**r - 1
+            for method in ("auto", "closed"):
+                _assert_within_bound(intercept(mu, alpha, r, method=method), want)
+
+    @pytest.mark.parametrize("mu, alpha, r", [(0.5, 1e-3, 3), (0.1, 0.02, 1), (0.1, 0.02, 3),
+                                              (0.05, 0.3, 8), (2.7, 0.05, 2), (1.0 / 3.0, 0.4, 6)])
+    def test_reference_matches_the_series(self, mu, alpha, r):
+        moment = _shift_form(mu, alpha, r)[1]
+        assert abs(moment / _direct_moment(mu, alpha, r) - 1) < 1e-45
+
+    @pytest.mark.parametrize("mu", [0.25, 0.5, 1.0 / 3.0, 2.0])
+    @pytest.mark.parametrize("r", [2, 3, 8])
+    def test_high_temperature_limit(self, mu, r):
+        # phi < 1/mu, so mu^r times each moment tends to 1 and lambda^(r) to 0+
+        lams = [intercept(mu, alpha, r).value for alpha in (1e-6, 1e-9, 1e-12)]
+        assert 0.0 < lams[2] < lams[1] < lams[0] < 1e-4
+        assert abs(r_moment(mu, 1e-12, r).value * mu**r - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("call", [
+        lambda: intercept(0.1, 1e-12, 3), lambda: r3_function(0.1, 1e-9),
+        lambda: mean_occupation(0.2, 1e-10),
+        lambda: lerch_phi_s1(LerchQuery(math.exp(-1e-8), 10.0))])
+    def test_bounded_cost(self, call):
+        call()
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 0.05
+
+
+class TestTermBudget:
+    """A sum that cannot stop within MAX_TERMS fails before it is summed."""
+
+    def test_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="oracle moment"):
+            intercept(0.008, 1e-9, 3)
+        with pytest.raises(ConvergenceError, match="oracle moment"):
+            intercept(0.1, 1e-9, 3, method="oracle")
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("closed, mu, r", [(False, 0.1, 2), (False, 0.7, 3), (True, 0.1, 1),
+                                               (True, 0.2, 3), (True, 1.5, 2)])
+    @pytest.mark.parametrize("alpha", [0.06, 0.3, 2.0])
+    def test_prediction_never_stops_a_converging_sum(self, closed, mu, r, alpha, monkeypatch):
+        # the kernel needs `used` terms; with a budget of used + 1 the sum converges
+        # and no prediction may fail it, with a budget of used / 4 the prediction fails it
+        sums = kernels.closed_moment_sums if closed else kernels.oracle_moment_sums
+        used = int(sums(mu, [alpha], r, 1e-13, core._TINY, 10**8)[2][0])
+        for budget, fails in ((used + 1, False), (used // 4, True)):
+            monkeypatch.setattr(core, "MAX_TERMS", budget)
+            hopeless = core._beyond_budget(mu, np.array([alpha]), r, 1e-13, closed)
+            assert hopeless[0] == fails, budget
+
+    def test_a_point_just_inside_the_budget_converges(self, monkeypatch):
+        used = int(kernels.oracle_moment_sums(0.1, [0.05], 2, 1e-12, core._TINY, 10**8)[2][0])
+        monkeypatch.setattr(core, "MAX_TERMS", used + 1)
+        assert oracle_moment(0.1, 0.05, 2).method == ORACLE
+        monkeypatch.setattr(core, "MAX_TERMS", used)
+        with pytest.raises(ConvergenceError):
+            oracle_moment(0.1, 0.05, 2)
+
+
 class TestCurveSlots:
     """Each slot of a batched curve equals the one-point public call at its alpha.
 
@@ -517,6 +639,18 @@ class TestCurveSlots:
     def test_r3_curve(self, mu, method):
         curve = core._r3_curve(mu, self.ALPHAS, 1e-12, method)
         self._assert_slots(curve, lambda a: r3_function(mu, a, 1e-12, method), self.ALPHAS)
+
+    #: the z -> 1 expansion, the series beyond its reach, and an invalid alpha
+    SMALL_ALPHAS = [1e-12, 3e-4, 0.02, math.nan, 0.3, 1e-7, 0.049]
+
+    @pytest.mark.parametrize("mu", [0.1, 0.45, 2.0])
+    @pytest.mark.parametrize("kind, r, method", [
+        ("mean", 1, "auto"), ("moment", 3, "auto"), ("intercept", 2, "auto"),
+        ("intercept", 3, "closed")])
+    def test_small_alpha_curve(self, kind, r, method, mu):
+        curve = core._curve(kind, mu, self.SMALL_ALPHAS, r, 1e-12, method)
+        self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
+                           self.SMALL_ALPHAS)
 
     def test_convergence_failures_keep_their_slots(self, monkeypatch):
         # with a budget of 40 terms the small alphas fail and the large converge

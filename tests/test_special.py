@@ -13,6 +13,7 @@ from mubose import (
     lerch_phi_s1,
     stirling2,
 )
+from mubose._backend import kernels
 
 TOL = 1e-12
 
@@ -67,6 +68,22 @@ class TestLerchValue:
     def test_monotone_increasing_in_z(self):
         values = [lerch_phi_s1(LerchQuery(z, 1.5)) for z in (0.0, 0.2, 0.4, 0.6, 0.8)]
         assert all(x < y for x, y in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("alpha, a", [(1e-8, 10.0), (1e-3, 5.0), (0.4, 1.0), (0.3, 0.01),
+                                          (1e-12, 1e-3)])
+    def test_near_one(self, alpha, a):
+        # z -> 1, where Phi comes from its expansion at a cost that does not grow
+        mpmath = pytest.importorskip("mpmath")
+        query = LerchQuery(math.exp(-alpha), a)
+        with mpmath.workdps(60):
+            want = mpmath.lerchphi(mpmath.mpf(query.z), 1, mpmath.mpf(a))
+        assert abs(lerch_phi_s1(query) - want) <= query.tol
+
+    def test_tolerance_below_the_expansion_bound_sums_directly(self):
+        query = LerchQuery(math.exp(-1e-3), 5.0, 1e-18)
+        assert kernels.lerch_expansion(query.z, query.a)[1] > query.tol
+        want = kernels.lerch_sum(query.z, query.a, query.tol, 10**8)[0]
+        assert lerch_phi_s1(query) == want
 
     def test_term_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
