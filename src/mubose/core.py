@@ -229,8 +229,14 @@ def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) 
       quotients at m = r by [r]_mu!, and their denominators lie in
       [1, (1+mu r)(1+mu(r-1))], so
       kappa [r]_mu! <= K mu^(2-2r) <= kappa [r]_mu! (1+mu r)(1+mu(r-1)).
+
+    Where every alpha (r + n) >= 2000 no sum is failed, and nothing is
+    computed: there ln tail_n < -800, below ln(2 TINY) = -743.7, because
+    kappa < 2^1024, [r]_mu! <= 64!, -ln g < 12 and r ln(r + n) < 1180.
     """
     n = MAX_TERMS - 1
+    if not a.size or a.min() * (r + n) >= 2000.0:
+        return np.zeros(a.size, dtype=bool)
     log_g = np.log(-np.expm1(-a))
     if closed:
         kappa = kernels.closed_condition(mu, r)
