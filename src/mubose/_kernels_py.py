@@ -446,22 +446,21 @@ def _lerch_expansion(alpha: np.ndarray, b: np.ndarray):
     over_fact, _ = _bernoulli()
     n = EXPANSION_TERMS
     c = np.maximum(b, _ONE)
-    steps_j = np.arange(1, n + 1).astype(_LD)
+    k = np.arange(1, n + 1).astype(_LD)
     # u[l, i] = B_i / (i! c^i), v[l, j] = (b/c)^j / j!, both for 0..n
     u = over_fact * np.concatenate([np.ones((b.size, 1), _LD),
                                     np.cumprod(np.broadcast_to(_ONE / c[:, None], (b.size, n)),
                                                axis=1)], axis=1)
     v = np.concatenate([np.ones((b.size, 1), _LD),
-                        np.cumprod((b / c)[:, None] / steps_j, axis=1)], axis=1)
+                        np.cumprod((b / c)[:, None] / k, axis=1)], axis=1)
     lag = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]  # k - i
     toeplitz = np.where(lag >= 0, v[:, np.clip(lag, 0, n)], _ZERO)  # [l, i, k] = v[l, k-i]
     beta = np.einsum("li,lik->lk", u, toeplitz)[:, 1:]
     beta_abs = np.einsum("li,lik->lk", abs(u), toeplitz)[:, 1:]
     sign = np.where(np.arange(1, n + 1) % 2 == 1, _ONE, -_ONE)
-    coef = sign * beta / steps_j
-    coef_abs = beta_abs / steps_j
+    coef = sign * beta / k
+    coef_abs = beta_abs / k
 
-    a = alpha[:, None, None]
     powers = np.cumprod(np.broadcast_to((alpha[:, None] * c)[:, :, None], (alpha.size, b.size, n)),
                         axis=2)
     grow = np.exp(b * alpha[:, None])
@@ -473,11 +472,11 @@ def _lerch_expansion(alpha: np.ndarray, b: np.ndarray):
                         + (coef_abs * powers).sum(axis=2))
 
     s = np.maximum(b, _ONE - b)[:, None]
-    rho = np.minimum(_PI, (steps_j + 1) / s)
+    rho = np.minimum(_PI, (k + 1) / s)
     cauchy = _PI / 2 * np.exp(rho * s)
-    q = a / rho
+    q = alpha[:, None, None] / rho
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        series_tail = np.where(q < _ONE, cauchy * q**(steps_j + 1) / ((steps_j + 1) * (_ONE - q)),
+        series_tail = np.where(q < _ONE, cauchy * q**(k + 1) / ((k + 1) * (_ONE - q)),
                                _LD(np.inf))
     tails = grow[:, :, None] * (series_tail + psi_trunc[:, None])
     return head, steps, tails, magnitude

@@ -470,7 +470,7 @@ class TestWholeDomain:
         assert intercept(0.75, 1.0, 3).method == CLOSED_FORM
 
 
-def _shift_form(mu, alpha, r, z=None):
+def _shift_form(mu, alpha, r):
     """60-digit (mean, r-th moment) from the positive-shift Lerch form.
 
     M_r = -mu^(-2r) z^r sum_l Atilde_l [Phi(z,1,b_l) - Phi(z,1,b_l+1)] with
@@ -483,7 +483,7 @@ def _shift_form(mu, alpha, r, z=None):
     dps = 60 + math.ceil(2 * r * max(0.0, -math.log10(mu)))
     with mpmath.workdps(dps):
         m = mpmath.mpf(mu)
-        z = mpmath.exp(-mpmath.mpf(alpha)) if z is None else mpmath.mpf(z)
+        z = mpmath.exp(-mpmath.mpf(alpha))
         phis = [mpmath.lerchphi(z, 1, 1 / m)]
         for j in range(r):
             phis.append((phis[-1] - 1 / (1 / m + j)) / z)
