@@ -476,7 +476,7 @@ def _shift_form(mu, alpha, r):
     M_r = -mu^(-2r) z^r sum_l Atilde_l [Phi(z,1,b_l) - Phi(z,1,b_l+1)] with
     b_l = 1/mu + r - l - 1, exact rational Atilde_l = mu^(r-1) A_l, one
     ``mpmath.lerchphi`` at b = 1/mu and Phi(z,1,b+1) = (Phi(z,1,b) - 1/b)/z
-    for the other shifts.  Ten digits more per decade of 1/mu^(2r) cover
+    for the other shifts.  One more digit per decade of mu^(-2r) covers
     the cancellation of the sum.
     """
     mpmath = pytest.importorskip("mpmath")
