@@ -7,96 +7,70 @@ comparison formulas.  Every closed form is backed by an independent
 brute-force series oracle.
 
 The numerical kernels are one numpy module that sums in long double;
-``backend_name()`` names it.
+``backend_name()`` names it.  The public names below resolve on first
+use, so only the calls that sum a series import numpy and the kernels.
 """
 
-from ._backend import backend_name
-from .core import (
-    ASYMPTOTIC,
-    CLOSED_FORM,
-    ORACLE,
-    CorrelationResult,
-    DeformationMu,
-    ThermoPoint,
-    intercept,
-    intercept_asymptotic,
-    mean_occupation,
-    mu_bracket,
-    mu_factorial,
-    oracle_moment,
-    r3_asymptotic,
-    r3_function,
-    r_moment,
-)
-from .errors import ConvergenceError, DomainError, PoleError
-from .expansion import (
-    CCoefficient,
-    DivergenceEntry,
-    c_coeff,
-    divergence_diagnostic,
-    series_coeff_oracle,
-    taylor_moment,
-    turning_point,
-)
-from .partfrac import ACoefficients, a_coeffs, expansion_residual
-from .pq import (
-    PQParams,
-    mu_vs_pq_asymptotic_gap,
-    pq_bracket,
-    pq_factorial,
-    pq_intercept,
-    pq_intercept_asymptotic,
-    pq_intercept_result,
-    pq_moment,
-    pq_oracle_moment,
-)
-from .special import LerchQuery, StirlingTable, g_coeff, lerch_phi_s1, stirling2
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASYMPTOTIC",
-    "CLOSED_FORM",
-    "ORACLE",
-    "ACoefficients",
-    "CCoefficient",
-    "ConvergenceError",
-    "CorrelationResult",
-    "DeformationMu",
-    "DivergenceEntry",
-    "DomainError",
-    "LerchQuery",
-    "PQParams",
-    "PoleError",
-    "StirlingTable",
-    "ThermoPoint",
-    "__version__",
-    "a_coeffs",
-    "backend_name",
-    "c_coeff",
-    "divergence_diagnostic",
-    "expansion_residual",
-    "g_coeff",
-    "intercept",
-    "intercept_asymptotic",
-    "lerch_phi_s1",
-    "mean_occupation",
-    "mu_bracket",
-    "mu_factorial",
-    "mu_vs_pq_asymptotic_gap",
-    "oracle_moment",
-    "pq_bracket",
-    "pq_factorial",
-    "pq_intercept",
-    "pq_intercept_asymptotic",
-    "pq_intercept_result",
-    "pq_moment",
-    "pq_oracle_moment",
-    "r3_asymptotic",
-    "r3_function",
-    "r_moment",
-    "series_coeff_oracle",
-    "stirling2",
-    "taylor_moment",
-    "turning_point",
-]
+#: the module that defines each public name, imported on the name's first use
+_EXPORTS = {
+    "backend_name": "_backend",
+    "ASYMPTOTIC": "_types",
+    "CLOSED_FORM": "_types",
+    "ORACLE": "_types",
+    "CorrelationResult": "_types",
+    "DeformationMu": "_types",
+    "ThermoPoint": "_types",
+    "intercept": "core",
+    "intercept_asymptotic": "core",
+    "mean_occupation": "core",
+    "mu_bracket": "core",
+    "mu_factorial": "core",
+    "oracle_moment": "core",
+    "r3_asymptotic": "core",
+    "r3_function": "core",
+    "r_moment": "core",
+    "ConvergenceError": "errors",
+    "DomainError": "errors",
+    "PoleError": "errors",
+    "CCoefficient": "expansion",
+    "DivergenceEntry": "expansion",
+    "c_coeff": "expansion",
+    "divergence_diagnostic": "expansion",
+    "series_coeff_oracle": "expansion",
+    "taylor_moment": "expansion",
+    "turning_point": "expansion",
+    "ACoefficients": "partfrac",
+    "a_coeffs": "partfrac",
+    "expansion_residual": "partfrac",
+    "PQParams": "pq",
+    "mu_vs_pq_asymptotic_gap": "pq",
+    "pq_bracket": "pq",
+    "pq_factorial": "pq",
+    "pq_intercept": "pq",
+    "pq_intercept_asymptotic": "pq",
+    "pq_intercept_result": "pq",
+    "pq_moment": "pq",
+    "pq_oracle_moment": "pq",
+    "LerchQuery": "special",
+    "StirlingTable": "special",
+    "g_coeff": "special",
+    "lerch_phi_s1": "special",
+    "stirling2": "special",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -28,6 +28,10 @@ import numpy as np
 
 from .errors import DBL_EPS
 
+# the partial-fraction coefficients A_l(mu) as doubles: partfrac forms them
+# exactly and rounds each once, and this name binds that same function
+from .partfrac import _coeff_values as a_coeff_values  # noqa: F401
+
 _LD = np.longdouble
 _ONE = _LD(1)
 _ZERO = _LD(0)
@@ -83,21 +87,6 @@ def _a_tilde_product(mu: _LD, r: int) -> tuple[np.ndarray, np.ndarray]:
     size = np.prod(abs(factors), axis=1)
     err = np.prod(abs(factors) + slack, axis=1) * (_ONE + 2 * r * _EPS_LD) - size
     return -np.prod(factors, axis=1), err
-
-
-def a_coeff_values(r: int, mu: float) -> list:
-    """Partial-fraction coefficients A_l(mu), l = 0..r-1, as floats.
-
-    A coefficient beyond the long-double or double range comes back as
-    an infinity or a nan, without a warning; the caller rejects it.
-    """
-    mu_ld = _LD(mu)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _a_tilde(mu_ld, r)
-        scale = _ONE
-        for _ in range(r - 1):
-            scale /= mu_ld
-        return [float(c * scale) for c in coeffs]
 
 
 def closed_condition(mu: float, r: int) -> float:

@@ -8,6 +8,10 @@ test suite relies on.
 
 Exit codes: 0 success, 1 domain error, 2 convergence failure, 3 some
 grid records failed (failed rows keep their slot with method ``failed``).
+
+Each subcommand imports what it uses when it runs, so ``coeffs``,
+``taylor-diagnose`` and ``pq-compare``, which sum no series, start
+without numpy and the kernels.
 """
 
 from __future__ import annotations
@@ -19,14 +23,17 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import core, expansion, pq
-from .core import DEFAULT_TOL
+from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, CorrelationResult, ThermoPoint
 from .errors import ConvergenceError, DomainError, _check_mu, _check_tol
-from .partfrac import a_coeffs
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    import numpy as np
+
+    from .core import _Curve
 
 DEFAULT_MASS = 139.57
 
@@ -42,30 +49,31 @@ class _Preset(NamedTuple):
     quantity: str
     r: int
     mus: tuple[float, ...]
-    #: (mu, alphas, tol, method) -> the curve's results as arrays (core._Curve)
-    evaluate: Callable[[float, np.ndarray, float, str], core._Curve]
-    #: mu -> asymptotic value closing each curve, or None for no asymptote row
-    asymptote: Callable[[float], float] | None
+    #: (core, mu, alphas, tol, method) -> the curve's results as arrays (core._Curve)
+    evaluate: Callable[[ModuleType, float, np.ndarray, float, str], _Curve]
+    #: (core, mu) -> asymptotic value closing each curve, or None for no asymptote row
+    asymptote: Callable[[ModuleType, float], float] | None
 
 
-# The lambdas look the core functions up at call time, so wrappers
-# installed on the core module (mocks, profiling spans) see every call.
+# The lambdas take the core module, which figure_records imports, and look
+# its functions up at call time, so wrappers installed on the core module
+# (mocks, profiling spans) see every call.
 _PRESETS = {
     "fig1": _Preset(
         "distribution", 1, (0.0, 0.1, 0.2),
-        lambda mu, alphas, tol, method: core._curve("mean", mu, alphas, 1, tol), None),
+        lambda core, mu, alphas, tol, method: core._curve("mean", mu, alphas, 1, tol), None),
     "fig2": _Preset(
         "lambda2", 2, (0.1, 0.2),
-        lambda mu, alphas, tol, method: core._curve("intercept", mu, alphas, 2, tol, method),
-        lambda mu: core.intercept_asymptotic(mu, 2)),
+        lambda core, mu, alphas, tol, method: core._curve("intercept", mu, alphas, 2, tol, method),
+        lambda core, mu: core.intercept_asymptotic(mu, 2)),
     "fig3": _Preset(
         "lambda3", 3, (0.1, 0.2),
-        lambda mu, alphas, tol, method: core._curve("intercept", mu, alphas, 3, tol, method),
-        lambda mu: core.intercept_asymptotic(mu, 3)),
+        lambda core, mu, alphas, tol, method: core._curve("intercept", mu, alphas, 3, tol, method),
+        lambda core, mu: core.intercept_asymptotic(mu, 3)),
     "fig4": _Preset(
         "r3", 3, (0.1, 0.2),
-        lambda mu, alphas, tol, method: core._r3_curve(mu, alphas, tol, method),
-        lambda mu: core.r3_asymptotic(mu)),
+        lambda core, mu, alphas, tol, method: core._r3_curve(mu, alphas, tol, method),
+        lambda core, mu: core.r3_asymptotic(mu)),
 }
 FIGURE_MUS = {name: preset.mus for name, preset in _PRESETS.items()}
 FIGURE_TEMPS = (120.0, 180.0)
@@ -122,14 +130,14 @@ class OutputRecord(NamedTuple):
 
 
 def _alpha(T: float, k: float, mass: float) -> float:
-    return core.ThermoPoint(T, k, mass).alpha
+    return ThermoPoint(T, k, mass).alpha
 
 
 #: methods whose bound is held to tol: a row whose bound exceeds it gets ``+overtol``
-_TOL_METHODS = (core.CLOSED_FORM, core.ORACLE)
+_TOL_METHODS = (CLOSED_FORM, ORACLE)
 
 
-def _record(key: tuple, res: core.CorrelationResult, tol: float) -> OutputRecord:
+def _record(key: tuple, res: CorrelationResult, tol: float) -> OutputRecord:
     """Row (*key, value, error_bound, method) for one result.
 
     ``key`` is (quantity, k, T, mu, r).  A closed-form or oracle value
@@ -141,8 +149,8 @@ def _record(key: tuple, res: core.CorrelationResult, tol: float) -> OutputRecord
     return OutputRecord(*key, res.value, res.error_bound, method)
 
 
-def _point_records(key: tuple, res: core.CorrelationResult, tol: float,
-                   oracle: core.CorrelationResult | None) -> list[OutputRecord]:
+def _point_records(key: tuple, res: CorrelationResult, tol: float,
+                   oracle: CorrelationResult | None) -> list[OutputRecord]:
     """The row of ``res``; with an oracle result, also its row and the difference row."""
     records = [_record(key, res, tol)]
     if oracle is not None:
@@ -153,7 +161,7 @@ def _point_records(key: tuple, res: core.CorrelationResult, tol: float,
 
 
 def _asymptote(T: float, mu: float, r: int, value: float) -> OutputRecord:
-    return OutputRecord("asymptote", math.inf, T, mu, r, value, 0.0, core.ASYMPTOTIC)
+    return OutputRecord("asymptote", math.inf, T, mu, r, value, 0.0, ASYMPTOTIC)
 
 
 def _intercept_quantity(r: int) -> str:
@@ -173,6 +181,10 @@ def figure_records(preset: str, grid: GridSpec,
     one row.  A failed point keeps its row, with nan cells and the method
     ``failed``.
     """
+    import numpy as np
+
+    from . import core
+
     if preset not in _PRESETS:
         raise DomainError(f"unknown figure preset {preset!r}")
     spec = _PRESETS[preset]
@@ -187,7 +199,7 @@ def figure_records(preset: str, grid: GridSpec,
         with np.errstate(over="ignore"):
             alphas = energies / T
         for mu in grid.mus:
-            curve = spec.evaluate(mu, alphas, grid.tol, method)
+            curve = spec.evaluate(core, mu, alphas, grid.tol, method)
             for i, exc in sorted(curve.failures.items()):
                 print(f"record (T={T:g}, mu={mu:g}, k={momenta[i]:g}) failed: {exc}",
                       file=sys.stderr)
@@ -199,7 +211,7 @@ def figure_records(preset: str, grid: GridSpec,
                            repeat(mu, size), repeat(spec.r, size), curve.value.tolist(),
                            curve.error_bound.tolist(), methods.tolist())
             if spec.asymptote is not None:
-                records.append(_asymptote(T, mu, spec.r, spec.asymptote(mu)))
+                records.append(_asymptote(T, mu, spec.r, spec.asymptote(core, mu)))
     return records, failed
 
 
@@ -207,6 +219,8 @@ def intercept_records(mu: float, T: float, k: float, mass: float, r: int,
                       tol: float, with_oracle: bool = False,
                       force_oracle: bool = False) -> list[OutputRecord]:
     """Single-point intercept, optionally with the oracle cross-check rows."""
+    from . import core
+
     alpha = _alpha(T, k, mass)
     method = "oracle" if force_oracle else "auto"
     res = core.intercept(mu, alpha, r, tol, method)
@@ -217,6 +231,8 @@ def intercept_records(mu: float, T: float, k: float, mass: float, r: int,
 def distribution_records(mu: float, T: float, k: float, mass: float,
                          tol: float, with_oracle: bool = False) -> list[OutputRecord]:
     """Mean occupation at one point, optionally with the oracle rows."""
+    from . import core
+
     alpha = _alpha(T, k, mass)
     res = core.mean_occupation(mu, alpha, tol)
     other = core.oracle_moment(mu, alpha, 1, tol) if with_oracle else None
@@ -226,6 +242,8 @@ def distribution_records(mu: float, T: float, k: float, mass: float,
 def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
                force_oracle: bool = False) -> list[OutputRecord]:
     """The r3 combination at one point plus its asymptote row."""
+    from . import core
+
     alpha = _alpha(T, k, mass)
     method = "oracle" if force_oracle else "auto"
     res = core.r3_function(mu, alpha, tol, method)
@@ -236,24 +254,30 @@ def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
 def pq_records(p: float, q: float, T: float, k: float, mass: float,
                r: int) -> list[tuple]:
     """p,q intercept at one point plus its asymptote, as PQ_HEADER rows."""
+    from . import pq
+
     params = pq.PQParams(p, q)
     alpha = _alpha(T, k, mass)
     res = pq.pq_intercept_result(params, alpha, r)
     asym = pq.pq_intercept_asymptotic(params, r)
     return [
         ("lambda_pq", k, T, params.p, params.q, r, res.value, res.error_bound, res.method),
-        ("asymptote", math.inf, T, params.p, params.q, r, asym, 0.0, core.ASYMPTOTIC),
+        ("asymptote", math.inf, T, params.p, params.q, r, asym, 0.0, ASYMPTOTIC),
     ]
 
 
 def coeff_rows(r: int, mu: float) -> list[tuple]:
     """Partial-fraction coefficient table rows (l, A^(r)_l)."""
+    from .partfrac import a_coeffs
+
     return [(l, v) for l, v in enumerate(a_coeffs(r, mu).values)]
 
 
 def taylor_rows(mu: float, T: float, k: float, mass: float, r: int,
                 s_max: int) -> list[tuple]:
     """Divergence-diagnostic table rows (s, partial_sum, term_magnitude)."""
+    from . import expansion
+
     alpha = _alpha(T, k, mass)
     entries = expansion.divergence_diagnostic(mu, alpha, r, s_max)
     return [(e.s, e.partial_sum, e.term_magnitude) for e in entries]

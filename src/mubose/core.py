@@ -23,6 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
+# the value types are core's public names too
+from ._types import (  # noqa: F401
+    ASYMPTOTIC,
+    CLOSED_FORM,
+    DEFAULT_TOL,
+    ORACLE,
+    CorrelationResult,
+    DeformationMu,
+    ThermoPoint,
+    _as_mu,
+)
 from .errors import (
     DBL_EPS,
     EXPANSION_REACH,
@@ -37,13 +48,6 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
-
-DEFAULT_TOL = 1e-12
-
-#: method tags carried by CorrelationResult
-CLOSED_FORM = "closed_form"
-ORACLE = "oracle"
-ASYMPTOTIC = "asymptotic"
 
 #: a curve's method codes index this tuple.  The order ranks the tags: a
 #: value formed from two results takes the larger of their two codes.
@@ -63,53 +67,6 @@ _CONDITION_SAFETY = 2.0
 #: largest bound-to-size ratio of lambda2, and of lambda3 - lambda2, at which
 #: the r3 bound is propagated linearly (see _r3_usable)
 _R3_LINEAR = 2.0**-10
-
-
-@dataclass(frozen=True)
-class DeformationMu:
-    """Deformation strength mu >= 0 of the structure function."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        _check_mu(self.mu)
-
-
-@dataclass(frozen=True)
-class ThermoPoint:
-    """Temperature and mode kinematics fixing alpha = sqrt(m^2+k^2)/T."""
-
-    temperature: float
-    momentum: float
-    mass: float
-
-    def __post_init__(self) -> None:
-        if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-        if not (self.momentum >= 0.0) or not math.isfinite(self.momentum):
-            raise DomainError(f"momentum must be >= 0, got {self.momentum}")
-        if not (self.mass > 0.0) or not math.isfinite(self.mass):
-            raise DomainError(f"mass must be positive, got {self.mass}")
-
-    @property
-    def alpha(self) -> float:
-        """Dimensionless mode energy sqrt(m^2 + k^2) / T."""
-        return math.hypot(self.mass, self.momentum) / self.temperature
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """A computed value, a propagated error bound, and how it was obtained."""
-
-    value: float
-    error_bound: float
-    method: str
-
-
-def _as_mu(d: DeformationMu | float) -> float:
-    if isinstance(d, DeformationMu):
-        return d.mu
-    return DeformationMu(float(d)).mu
 
 
 def mu_bracket(n: float, mu: float) -> float:

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._backend import kernels
-from .core import DeformationMu, _as_mu
+from ._types import DeformationMu, _as_mu
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -135,6 +134,8 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     ConvergenceError
         If the geometric tail bound at ``n_max`` is not below 1e-12.
     """
+    from ._backend import kernels
+
     _check_sl(s, l)
     _check_alpha(alpha)
     if not isinstance(n_max, int) or n_max <= l:

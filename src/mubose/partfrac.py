@@ -4,10 +4,16 @@ The product prod_{l<r} (n-l)/(1+mu(n-l)) expands as
 
     mu^-r * (1 + sum_{l<r} A_l(mu) / (1 + mu(n-l))),
 
-and the coefficients A_l obey an order-raising recurrence:
+and the residue at 1 + mu(n-l) = 0 gives each coefficient as a product:
 
-    A^(r+1)_l = A^(r)_l (1 + 1/(mu(r-l)))            l < r,
-    A^(r+1)_r = -1 - sum_{l<r} A^(r)_l / (mu(r-l)),  seeded by A^(1)_0 = -1.
+    A_l = -prod_{j != l} (1 - 1/(mu(l-j))).
+
+With mu = n/d an exact rational (every double is one), the factors with
+j < l are (nk - d)/(nk) and those with j > l are (nk + d)/(nk), k = |l-j|,
+so the prefix products P_m = prod_{k<=m} (nk - d) and
+Q_m = prod_{k<=m} (nk + d) give every coefficient in exact integers,
+
+    A_l = -P_l Q_{r-1-l} / (n^(r-1) l! (r-1-l)!).
 
 Coefficients are produced numerically at a concrete mu; symbolic forms
 are out of scope.
@@ -19,8 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import kernels
-from .errors import MAX_ORDER, DomainError, PoleError, _check_mu_positive, _check_order
+from .errors import DomainError, PoleError, _check_mu_positive, _check_order
 
 #: relative vanishing threshold for denominators 1 + mu(n-l)
 POLE_TOL = 1e-12
@@ -41,28 +46,48 @@ class ACoefficients:
         return self.order
 
 
+def _coeff_ratios(r: int, mu: Fraction) -> list[tuple[int, int]]:
+    """A_l(mu), l = 0..r-1, each as an exact (numerator, positive denominator) pair."""
+    n, d = mu.numerator, mu.denominator
+    falling, rising, factorials = [1], [1], [1]
+    for k in range(1, r):
+        falling.append(falling[-1] * (n * k - d))
+        rising.append(rising[-1] * (n * k + d))
+        factorials.append(factorials[-1] * k)
+    scale = n ** (r - 1)
+    return [(-falling[l] * rising[r - 1 - l], scale * factorials[l] * factorials[r - 1 - l])
+            for l in range(r)]
+
+
+def _exact_coeffs(r: int, mu: Fraction) -> list[Fraction]:
+    """A_l(mu), l = 0..r-1, as exact rationals."""
+    return [Fraction(num, den) for num, den in _coeff_ratios(r, mu)]
+
+
+def _coeff_values(r: int, mu: float) -> list[float]:
+    """A_l(mu), l = 0..r-1, each its exact rational rounded once to a double.
+
+    Integer true division rounds correctly and gives an exact zero (mu =
+    1/k, l >= k) as +0.0.  A coefficient beyond the double range raises
+    OverflowError.
+    """
+    return [num / den for num, den in _coeff_ratios(r, Fraction(mu))]
+
+
 def a_coeffs(r: int, mu: float) -> ACoefficients:
     """Evaluate the partial-fraction coefficients at a concrete mu > 0.
 
-    A coefficient that is not a finite double (A_l grows like mu^(1-r)
-    as mu -> 0, and its recurrence overflows at huge mu) raises
+    Each value is the exact A_l correctly rounded.  A coefficient that
+    is not a finite double (A_l grows like mu^(1-r) as mu -> 0) raises
     DomainError.
     """
     _check_order(r)
     _check_mu_positive(mu)
-    values = kernels.a_coeff_values(r, mu)
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"A^({r})_l at mu={mu} lie beyond the double range")
+    try:
+        values = _coeff_values(r, mu)
+    except OverflowError:
+        raise DomainError(f"A^({r})_l at mu={mu} lie beyond the double range") from None
     return ACoefficients(order=r, mu=mu, values=tuple(values))
-
-
-def _exact_coeffs(r: int, mu: Fraction) -> list[Fraction]:
-    coeffs = [Fraction(-1)]
-    for order in range(1, r):
-        nxt = [coeffs[l] * (1 + Fraction(1, 1) / (mu * (order - l))) for l in range(order)]
-        nxt.append(-1 - sum(coeffs[l] / (mu * (order - l)) for l in range(order)))
-        coeffs = nxt
-    return coeffs
 
 
 def expansion_residual(r: int, mu: float, n: float) -> float:

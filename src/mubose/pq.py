@@ -13,16 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._backend import kernels
-from .core import (
-    CLOSED_FORM,
-    DEFAULT_TOL,
-    CorrelationResult,
-    DeformationMu,
-    _as_mu,
-    intercept_asymptotic,
-    mu_factorial,
-)
+from ._types import CLOSED_FORM, DEFAULT_TOL, CorrelationResult, DeformationMu, _as_mu
 from .errors import (
     DBL_EPS,
     MAX_TERMS,
@@ -119,6 +110,8 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
 def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
                      tol: float = DEFAULT_TOL) -> CorrelationResult:
     """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r z^n."""
+    from ._backend import kernels
+
     _check_alpha(alpha)
     _check_order(r)
     _check_tol(tol)
@@ -182,6 +175,8 @@ def mu_vs_pq_asymptotic_gap(d: DeformationMu | float, r: int) -> float:
     p,q-gas pattern [r]! - 1; the returned ratio is checked against
     (1+mu)^r before being handed back.
     """
+    from .core import intercept_asymptotic, mu_factorial
+
     mu = _as_mu(d)
     _check_order(r, minimum=2)
     ratio = (intercept_asymptotic(mu, r) + 1.0) / mu_factorial(r, mu)

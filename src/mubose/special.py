@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._backend import kernels
 from .errors import EXPANSION_REACH, MAX_TERMS, DomainError, _check_tol, _converged
 
 
@@ -56,6 +55,8 @@ def lerch_phi_s1(query: LerchQuery, max_terms: int = MAX_TERMS) -> float:
     ConvergenceError
         If the direct sum's bound cannot reach the tolerance within ``max_terms``.
     """
+    from ._backend import kernels
+
     z, a, tol = query.z, query.a, query.tol
     if z > 0.0 and -math.log(z) * max(a, 1.0) <= EXPANSION_REACH:
         value, err, _ = kernels.lerch_expansion(z, a)

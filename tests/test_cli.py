@@ -86,12 +86,35 @@ class TestCoeffs:
         assert main(["coeffs", "--order", "0", "--mu", "0.5"]) == 1
         assert "domain error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order, mu", [("3", "1e-200"), ("64", "1e-300"), ("64", "1e300")])
+    @pytest.mark.parametrize("order, mu", [("3", "1e-200"), ("64", "1e-300")])
     def test_coefficients_beyond_double_range(self, capsys, order, mu):
         assert main(["coeffs", "--order", order, "--mu", mu]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "beyond the double range" in captured.err
+
+    def test_coefficients_at_huge_mu(self, capsys):
+        # every exact A^(64)_l = -1 + O(1/mu) rounds to -1 at mu = 1e300
+        assert main(["coeffs", "--order", "64", "--mu", "1e300"]) == 0
+        assert capsys.readouterr().out == "l,a_l\n" + "".join(f"{l},-1\n" for l in range(64))
+
+    def test_order_16_table(self, capsys):
+        # the exact A^(16)_l at mu = 0.2, each rounded once; the long-double
+        # recurrence printed eleven of these cells wrong, five with the wrong sign
+        assert main(["coeffs", "--order", "16", "--mu", "0.2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "l,a_l", "0,-15504", "1,46512", "2,-51408", "3,24752", "4,-4368",
+            "5,-1.66699987147e-13", "6,-1.85222207942e-14", "7,-3.40204055403e-15",
+            "8,-7.85086281699e-16", "9,-2.03540887848e-16", "10,-5.55111512313e-17",
+            "11,-1.51394048813e-17", "12,-3.92503089514e-18", "13,-9.05776360417e-19",
+            "14,-1.66367086607e-19", "15,-1.84852318452e-20",
+        ]
+
+    def test_exact_zeros_print_unsigned(self, capsys):
+        # at mu = 1/2 every A^(64)_l with l >= 2 is exactly zero
+        assert main(["coeffs", "--order", "64", "--mu", "0.5"]) == 0
+        cells = [line.split(",")[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cells[:2] == ["-2080", "2016"] and cells[2:] == ["0"] * 62
 
 
 class TestIntercept:

@@ -1,7 +1,10 @@
 """Partial-fraction coefficients A^(r)_l and the expansion identity."""
 
+import functools
+import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -60,14 +63,59 @@ class TestACoefficients:
         with pytest.raises(DomainError):
             a_coeffs(r, mu)
 
-    @pytest.mark.parametrize("r,mu", [(3, 1e-200), (64, 1e-300), (64, 1e300)])
+    @pytest.mark.parametrize("r,mu", [(3, 1e-200), (64, 1e-300)])
     def test_beyond_double_range(self, r, mu):
-        # A_l ~ mu^(1-r) overflows a double at tiny mu, and the recurrence
-        # overflows long double at huge mu; neither may leak a numpy warning
+        # A_l ~ mu^(1-r) overflows a double at tiny mu, without leaking a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="beyond the double range"):
                 a_coeffs(r, mu)
+
+    def test_huge_mu_rounds_exactly(self):
+        # A_l = -1 + O(1/mu), so at mu = 1e300 every exact A^(64)_l rounds to -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert a_coeffs(64, 1e300).values == (-1.0,) * 64
+
+
+@functools.cache
+def recurrence_coeffs(mu: float) -> tuple[tuple[Fraction, ...], ...]:
+    """A^(r)_l(mu) for r = 1..64 in exact rationals, by the order-raising recurrence
+
+        A^(r+1)_l = A^(r)_l (1 + 1/(mu(r-l)))            l < r,
+        A^(r+1)_r = -1 - sum_{l<r} A^(r)_l / (mu(r-l)),  A^(1)_0 = -1,
+
+    an independent route to the residue products the package evaluates.
+    Entry r - 1 holds order r.
+    """
+    m = Fraction(mu)
+    orders = [(Fraction(-1),)]
+    for order in range(1, 64):
+        prev = orders[-1]
+        nxt = [c * (1 + 1 / (m * (order - l))) for l, c in enumerate(prev)]
+        nxt.append(-1 - sum(c / (m * (order - l)) for l, c in enumerate(prev)))
+        orders.append(tuple(nxt))
+    return tuple(orders)
+
+
+class TestExactRounding:
+    """Each A_l is its exact rational value rounded once to a double."""
+
+    @pytest.mark.parametrize("mu", [*(1.0 / j for j in range(1, 13)),
+                                    0.5, 0.25, 0.2, 1e-5, 1e6])
+    @pytest.mark.parametrize("r", [*range(1, 17), 32, 64])
+    def test_matches_exact_recurrence(self, r, mu):
+        exact = recurrence_coeffs(mu)[r - 1]
+        try:
+            want = tuple(map(float, exact))
+        except OverflowError:
+            with pytest.raises(DomainError, match="beyond the double range"):
+                a_coeffs(r, mu)
+            return
+        got = a_coeffs(r, mu).values
+        assert got == want
+        # an exact zero is +0.0, so it prints as 0, never -0
+        assert all(math.copysign(1.0, v) > 0 for v, x in zip(got, exact) if x == 0)
 
 
 class TestExpansionResidual:
