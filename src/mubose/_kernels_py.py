@@ -46,8 +46,10 @@ def _a_tilde(mu: _LD, r: int) -> list:
     """Rescaled partial-fraction coefficients mu**(r-1) * A_l for order r.
 
     Built by the order-raising recurrence.  The rescaling keeps every
-    coefficient O(1) for small mu, so the recurrence neither overflows
-    nor loses the leading digits it would lose in the unscaled form.
+    coefficient O(1) for small mu, so the recurrence does not overflow;
+    its sums cancel, though, and a coefficient far below the largest one
+    keeps few correct digits (at mu = 0.1, r = 20 one is off by 4e11
+    times its size).  ``partfrac`` has the exact values.
     """
     coeffs = [_LD(-1)]
     for order in range(1, r):

@@ -23,15 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-# the value types are core's public names too
-from ._types import (  # noqa: F401
+from ._types import (
     ASYMPTOTIC,
     CLOSED_FORM,
     DEFAULT_TOL,
     ORACLE,
     CorrelationResult,
     DeformationMu,
-    ThermoPoint,
+    ThermoPoint,  # noqa: F401  (core.ThermoPoint stays a public name)
     _as_mu,
 )
 from .errors import (
