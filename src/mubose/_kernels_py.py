@@ -12,83 +12,76 @@ non-convergence; they return ``(value, error_bound, terms_used)``
 and leave policy to the calling module.  Every series is summed by one
 driver, :func:`_sum_rows`, and every tail of the form sum_{m>n} m^s z^m
 is bounded by one geometric tail, :func:`_geometric_tail`.
-``closed_moment_sums`` and ``oracle_moment_sums`` sum a whole curve and
-return the triple as arrays over alpha (float64, float64, int64); the
-other kernels are one-point sums and return Python numbers.
+``closed_moment_sums``, ``oracle_moment_sums`` and
+``closed_moment_expansion`` evaluate a whole curve and return the triple
+as arrays over alpha (float64, float64, int64); the other kernels are
+one-point sums and return Python numbers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DBL_EPS
+from .errors import DBL_EPS, MAX_ORDER
 
 # the partial-fraction coefficients A_l(mu) as doubles: partfrac forms them
 # exactly and rounds each once, and this name binds that same function
+from .partfrac import _coeff_ratios
 from .partfrac import _coeff_values as a_coeff_values  # noqa: F401
 
 _LD = np.longdouble
 _ONE = _LD(1)
 _ZERO = _LD(0)
 
-#: unit roundoff of the accumulation type
+#: machine epsilon of the accumulation type, one unit in the last place at 1
 EPS = float(np.finfo(np.longdouble).eps)
 _EPS_LD = _LD(np.finfo(np.longdouble).eps)
+#: unit roundoff: the largest relative error of one +, -, * or /
+_U = _EPS_LD / 2
 _DBL_EPS = _LD(DBL_EPS)
+#: bits in the long-double significand
+_DIGITS = np.finfo(np.longdouble).nmant + 1
 
 
-def _a_tilde(mu: _LD, r: int) -> list:
-    """Rescaled partial-fraction coefficients mu**(r-1) * A_l for order r.
+def _ld_ratios(nums, dens) -> np.ndarray:
+    """Each rational num/den (den > 0) correctly rounded to long double, ties to even.
 
-    Built by the order-raising recurrence.  The rescaling keeps every
-    coefficient O(1) for small mu, so the recurrence does not overflow;
-    its sums cancel, though, and a coefficient far below the largest one
-    keeps few correct digits (at mu = 0.1, r = 20 one is off by 4e11
-    times its size).  ``partfrac`` has the exact values.
+    A quotient beyond the long-double range becomes an infinity (or a
+    zero) under numpy's overflow (underflow) warning.
     """
-    coeffs = [_LD(-1)]
-    for order in range(1, r):
-        nxt = []
-        for l in range(order):
-            nxt.append(coeffs[l] * (mu + _ONE / _LD(order - l)))
-        acc = _ZERO
-        for l in range(order):
-            acc += coeffs[l] / _LD(order - l)
-        powm = _ONE
-        for _ in range(order):
-            powm *= mu
-        nxt.append(-powm - acc)
-        coeffs = nxt
-    return coeffs
+    tops, shifts = [], []
+    for num, den in zip(nums, dens):
+        mag = abs(num)
+        lead = mag.bit_length() - den.bit_length()  # 2^(lead-1) < mag/den < 2^(lead+1)
+        if (mag << max(-lead, 0)) >= (den << max(lead, 0)):
+            lead += 1
+        shift = _DIGITS - lead  # the quotient times 2^shift lies in [2^(DIGITS-1), 2^DIGITS)
+        top, rest = divmod(mag << shift, den) if shift >= 0 else divmod(mag, den << -shift)
+        half = 2 * rest - (den << max(-shift, 0))
+        if half > 0 or (half == 0 and top & 1):
+            top += 1
+        tops.append(top if num >= 0 else -top)
+        shifts.append(-shift)
+    return np.ldexp(np.array(tops, dtype=_LD), np.array(shifts, dtype=np.int64))
 
 
-def _a_tilde_product(mu: _LD, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of :func:`_a_tilde` as residue products, with absolute error bounds.
+def _scaled_coeffs(mu: float, r: int) -> np.ndarray:
+    """Atilde_l = mu^(r-1) A_l, l = 0..r-1, each exact rational rounded once to long double.
 
-    The residue of P(n) at 1 + mu(n-l) = 0 gives
-    A_l = -prod_{j != l} (1 - 1/(mu(l-j))), so
-    Atilde_l = -prod_{j != l} f_lj with f_lj = mu + 1/(j-l).  Each factor
-    is rounded with an absolute error below d_lj = EPS (mu + 1/|j-l|),
-    also where mu + 1/(j-l) cancels on the lattice mu = 1/k, and the
-    r - 1 products round by at most r EPS relative, so
-    |error| <= prod (|f_lj| + d_lj) (1 + r EPS) - prod |f_lj|, formed here
-    with 2r EPS to cover the rounding of that difference.  The recurrence
-    sums terms that cancel (the relative error of its last coefficient
-    reaches 1e21 EPS at r = 8), so it offers no such bound.
+    The exact A_l come from ``partfrac``; with mu = p/q, Atilde_l is
+    A_l p^(r-1) / q^(r-1).  The rescaling keeps every coefficient O(1)
+    for small mu.  A coefficient beyond the long-double range is
+    infinite.
     """
-    lag = np.arange(r)[None, :] - np.arange(r)[:, None]  # j - l
-    off = lag != 0
-    inv = np.where(off, _ONE / np.where(off, lag, 1).astype(_LD), _ZERO)
-    factors = np.where(off, mu + inv, _ONE)
-    slack = np.where(off, _EPS_LD * (mu + abs(inv)), _ZERO)
-    size = np.prod(abs(factors), axis=1)
-    err = np.prod(abs(factors) + slack, axis=1) * (_ONE + 2 * r * _EPS_LD) - size
-    return -np.prod(factors, axis=1), err
+    frac = Fraction(mu)
+    p, q = frac.numerator ** (r - 1), frac.denominator ** (r - 1)
+    nums, dens = zip(*_coeff_ratios(r, frac))
+    with np.errstate(over="ignore", under="ignore"):
+        return _ld_ratios([num * p for num in nums], [den * q for den in dens])
 
 
 def closed_condition(mu: float, r: int) -> float:
@@ -104,7 +97,7 @@ def closed_condition(mu: float, r: int) -> float:
     """
     mu_ld = _LD(mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeffs = _a_tilde(mu_ld, r)
+        coeffs = _scaled_coeffs(mu, r)
         s_abs = _ZERO
         for l in range(r):
             s_abs += abs(coeffs[l]) / ((_ONE + mu_ld * (r - l)) * (_ONE + mu_ld * (r - l - 1)))
@@ -195,6 +188,24 @@ def _geometric_tail(n: np.ndarray, s: int, z, zn: np.ndarray) -> np.ndarray:
         return np.where(rho < _ONE, bound * zn / (_ONE - rho), _LD(np.inf))
 
 
+def _block_tails(n: np.ndarray, s: int, z, zns: np.ndarray, passes) -> np.ndarray:
+    """:func:`_geometric_tail` over a block of terms, in full only if some row can stop in it.
+
+    The tail bound is infinite while rho >= 1 and falls with n once it is
+    finite, and the right side of each caller's stopping test does not
+    fall with n (a tolerance, or one times a sum of non-negative terms).
+    So ``passes(tails)``, that test at the block's last term, is true for
+    some row if any row passes anywhere in the block.  Where no row
+    passes, the last term's tails stand for the whole block, broadcast:
+    no row stops on them, and a row that runs out of terms keeps the last
+    one, which equals the one the full block would give.
+    """
+    last = _geometric_tail(n[-1:], s, z, zns[:, -1:])
+    if passes(last).any():
+        return _geometric_tail(n, s, z, zns)
+    return np.broadcast_to(last, zns.shape)
+
+
 def _curve_sums(value, err, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The long-double sums of a curve rounded to doubles, with their term counts."""
     return value.astype(np.float64), err.astype(np.float64), terms
@@ -239,9 +250,7 @@ def power_sum(s: int, l: int, alpha: float, n_max: int, atol: float):
     N is the first n >= l whose tail bound is below ``atol``, or ``n_max``
     if no n up to it qualifies.  For m > n >= l, 0 < m - l <= m, so the
     geometric tail of m^s z^m bounds the tail; below l it need not.  That
-    bound is infinite while rho >= 1 and falls with n once it is finite,
-    so a block of terms whose last bound misses ``atol`` holds no passing
-    term, and only the last bound of such a block is formed.
+    bound is formed by :func:`_block_tails`.
     """
     z = np.exp(-_LD(alpha))
     atol_ld = _LD(atol)
@@ -257,10 +266,8 @@ def power_sum(s: int, l: int, alpha: float, n_max: int, atol: float):
             p *= x
         zn_before, zns = _powers(zn[active], z, width)
         accs = _running_sum(acc[active], p * zn_before)
-        tails = _geometric_tail(n[-1:], s, z, zns[:, -1:])
-        if tails[0, 0] < atol_ld:
-            tails = _geometric_tail(n, s, z, zns)
-        return (tails < atol_ld) & (n >= l), (zns, accs, np.broadcast_to(tails, zns.shape))
+        tails = _block_tails(n, s, z, zns, lambda last: last < atol_ld)
+        return (tails < atol_ld) & (n >= l), (zns, accs, tails)
 
     _sum_rows(1, n_max + 1, block, [zn, acc, tail])
     return float(acc[0]), float(tail[0])
@@ -296,11 +303,18 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
     sum_{m>=r} z^m (P(m) - P(m-1)).  Every denominator of S_m has
     m - l - 1 >= 0, so none vanishes.  The bound mu < 1/(r-1) belongs only
     to the printed form Phi(z, 1, 1/mu - l), whose shift must be positive.
+
+    The rounding bound is EPS (2r+6) times the sum of absolute terms.
+    Each Atilde_l is its exact rational rounded once (:func:`_scaled_coeffs`),
+    so a quotient of S_m takes at most 7 roundings of EPS/2 (the
+    coefficient, two in each factor 1 + mu x, their product and the
+    division) and S_m r - 1 more: (r + 6) EPS/2 of its sum of magnitudes,
+    within the budget, which leaves the rest for z^m and the running sum.
     """
     mu_ld = _LD(mu)
     z = np.exp(-np.asarray(alphas, dtype=_LD))
     inv_gap = _ONE / (_ONE - z)
-    coeffs = _a_tilde(mu_ld, r)
+    coeffs = _scaled_coeffs(mu, r)
     big_k = _ZERO
     for l in range(r):
         big_k += abs(coeffs[l])
@@ -347,22 +361,14 @@ def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
 
 #: most terms of the Bernoulli series in the z -> 1 expansion of Phi
 EXPANSION_TERMS = 24
-#: rounding of one expanded Phi, in EPS times its sum of magnitudes: the
-#: Bernoulli coefficients and powers (2 per term), the sum of the terms (1
-#: per term), digamma's shifts and series (below 32) and the exponential
-_EXPANSION_ROUNDING = 3 * EXPANSION_TERMS + 40
 #: digamma's asymptotic series is summed from this argument up, through B_16
 _PSI_FROM = 16
 _PSI_TERMS = 8
 _EULER = _LD("0.577215664901532860606512090082402431")
 _PI = _LD("3.14159265358979323846264338327950288")
-
-
-def _to_ld(x: Fraction) -> _LD:
-    """A rational rounded to long double through a 30-digit decimal."""
-    with localcontext() as ctx:
-        ctx.prec = 30
-        return _LD(str(Decimal(x.numerator) / Decimal(x.denominator)))
+#: k = 1..EXPANSION_TERMS and the signs (-1)^(k+1) of the Bernoulli series
+_K = np.arange(1, EXPANSION_TERMS + 1).astype(_LD)
+_SIGNS = np.where(np.arange(1, EXPANSION_TERMS + 1) % 2 == 1, _ONE, -_ONE)
 
 
 @functools.cache
@@ -375,102 +381,35 @@ def _bernoulli() -> tuple[np.ndarray, np.ndarray]:
     b = [Fraction(1)]
     for m in range(1, EXPANSION_TERMS + 1):
         b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    over_fact = np.array([_to_ld(x / math.factorial(i)) for i, x in enumerate(b)])
-    return over_fact, np.array([_to_ld(x) for x in b])
+    over_fact = _ld_ratios([x.numerator for x in b],
+                           [x.denominator * math.factorial(i) for i, x in enumerate(b)])
+    return over_fact, _ld_ratios([x.numerator for x in b], [x.denominator for x in b])
 
 
-def _digamma(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi(b) for b > 0: ``(value, magnitude, truncation)`` per element.
+def _digamma_gap(b: _LD) -> tuple[_LD, _LD]:
+    """psi(b) - ln b for b > 0: ``(value, error_bound)``.
 
     An argument below ``_PSI_FROM`` is shifted up by n steps with
     psi(b) = psi(b + n) - sum_{j<n} 1/(b + j).  At x = b + n,
-    psi(x) = ln x - 1/(2x) - sum_{k=1}^{8} B_2k / (2k x^2k), and for real
+    psi(x) - ln x = -1/(2x) - sum_{k=1}^{8} B_2k / (2k x^2k), and for real
     x > 0 the remainder is at most the first omitted term,
-    |B_18| / (18 x^18) (DLMF 5.11.ii), below 7e-22.  ``magnitude`` sums
-    the absolute values of the rounded parts.
+    |B_18| / (18 x^18) (DLMF 5.11.ii), below 7e-22.  So
+    psi(b) - ln b = ln(x/b) - 1/(2x) - sum_k ... - sum_j 1/(b + j), which
+    keeps ln b, large for large or small b, out of the sum.  Each of the
+    n + 12 roundings is at most EPS/2 of the sum of magnitudes.
     """
     bern = _bernoulli()[1]
-    shifts = np.maximum(np.ceil(_PSI_FROM - b), _ZERO)
-    j = np.arange(_PSI_FROM).astype(_LD)
-    steps = np.where(j < shifts[:, None], _ONE / (b[:, None] + j), _ZERO)
-    shift = steps.sum(axis=1)
+    shifts = int(np.ceil(_PSI_FROM - b)) if b < _PSI_FROM else 0
     x = b + shifts
     inv2 = _ONE / (x * x)
     k = np.arange(1, _PSI_TERMS + 1)
-    terms = bern[2 * k] / (2 * k) * np.cumprod(np.broadcast_to(inv2[:, None], (b.size, _PSI_TERMS)),
-                                               axis=1)
-    value = np.log(x) - _ONE / (2 * x) - terms.sum(axis=1) - shift
-    magnitude = abs(np.log(x)) + _ONE / (2 * x) + abs(terms).sum(axis=1) + shift
+    terms = bern[2 * k] / (2 * k) * np.cumprod(np.full(_PSI_TERMS, inv2))
+    steps = _ONE / (b + np.arange(shifts).astype(_LD))
+    log_ratio = np.log(x / b)
+    value = log_ratio - _ONE / (2 * x) - terms.sum() - steps.sum()
+    magnitude = abs(log_ratio) + _ONE / (2 * x) + abs(terms).sum() + steps.sum()
     trunc = abs(bern[2 * _PSI_TERMS + 2]) / (2 * _PSI_TERMS + 2) * inv2**(_PSI_TERMS + 1)
-    return value, magnitude, trunc
-
-
-def _lerch_expansion(alpha: np.ndarray, b: np.ndarray):
-    """Phi(e^-alpha, 1, b) near z = 1, term by term, for every alpha and shift b > 0.
-
-    The expansion (DLMF 25.14; Erdelyi et al., Higher Transcendental
-    Functions I, 1.11) is
-
-        Phi(e^-alpha, 1, b) = e^(b alpha) [-ln alpha - gamma - psi(b)
-                               + sum_{k>=1} (-1)^(k+1) beta_k alpha^k / k],
-
-    with beta_k = B_k(b) / k! the Taylor coefficients of
-    g(t) = t e^(bt) / (e^t - 1), which is analytic for |t| < 2 pi.
-    Returns arrays over (alpha, b): ``head`` = e^(b alpha)
-    (-ln alpha - gamma - psi(b)); ``steps[..., k-1]``, the k-th series
-    term times e^(b alpha); ``tails[..., k-1]``, a bound on the error of
-    head plus the first k steps; and ``magnitude``, the sum of the
-    magnitudes of every rounded part, times e^(b alpha).
-
-    Truncation.  On |t| = rho <= pi,
-    |e^t - 1|^2 = (e^x - 1)^2 + 4 e^x sin^2(y/2) with t = x + iy, and
-    sin u >= 2u/pi gives |e^t - 1| >= (2 rho / pi) min(1, e^x), so
-    |g| <= M = (pi/2) e^(rho s) with s = max(b, 1 - b).  Cauchy's estimate
-    |beta_k| <= M / rho^k bounds the series after k terms by
-    M q^(k+1) / ((k+1)(1 - q)), q = alpha / rho, and rho = min(pi, (k+1)/s)
-    minimises it.  digamma's truncation is added.
-
-    Scaling.  beta_k alpha^k = sum_{i+j=k} (B_i / (i! c^i))
-    ((b/c)^j / j!) (c alpha)^k with c = max(b, 1), so no power of a
-    large b overflows.
-    """
-    over_fact, _ = _bernoulli()
-    n = EXPANSION_TERMS
-    c = np.maximum(b, _ONE)
-    k = np.arange(1, n + 1).astype(_LD)
-    # u[l, i] = B_i / (i! c^i), v[l, j] = (b/c)^j / j!, both for 0..n
-    u = over_fact * np.concatenate([np.ones((b.size, 1), _LD),
-                                    np.cumprod(np.broadcast_to(_ONE / c[:, None], (b.size, n)),
-                                               axis=1)], axis=1)
-    v = np.concatenate([np.ones((b.size, 1), _LD),
-                        np.cumprod((b / c)[:, None] / k, axis=1)], axis=1)
-    lag = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]  # k - i
-    toeplitz = np.where(lag >= 0, v[:, np.clip(lag, 0, n)], _ZERO)  # [l, i, k] = v[l, k-i]
-    beta = np.einsum("li,lik->lk", u, toeplitz)[:, 1:]
-    beta_abs = np.einsum("li,lik->lk", abs(u), toeplitz)[:, 1:]
-    sign = np.where(np.arange(1, n + 1) % 2 == 1, _ONE, -_ONE)
-    coef = sign * beta / k
-    coef_abs = beta_abs / k
-
-    powers = np.cumprod(np.broadcast_to((alpha[:, None] * c)[:, :, None], (alpha.size, b.size, n)),
-                        axis=2)
-    grow = np.exp(b * alpha[:, None])
-    psi, psi_mag, psi_trunc = _digamma(b)
-    log_alpha = np.log(alpha)
-    head = grow * (-(log_alpha + _EULER)[:, None] - psi)
-    steps = grow[:, :, None] * coef * powers
-    magnitude = grow * ((abs(log_alpha) + _EULER)[:, None] + psi_mag
-                        + (coef_abs * powers).sum(axis=2))
-
-    s = np.maximum(b, _ONE - b)[:, None]
-    rho = np.minimum(_PI, (k + 1) / s)
-    cauchy = _PI / 2 * np.exp(rho * s)
-    q = alpha[:, None, None] / rho
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        series_tail = np.where(q < _ONE, cauchy * q**(k + 1) / ((k + 1) * (_ONE - q)),
-                               _LD(np.inf))
-    tails = grow[:, :, None] * (series_tail + psi_trunc[:, None])
-    return head, steps, tails, magnitude
+    return value, _EPS_LD * (shifts + 8) * magnitude + trunc
 
 
 def _first_stop(stop: np.ndarray) -> np.ndarray:
@@ -478,65 +417,196 @@ def _first_stop(stop: np.ndarray) -> np.ndarray:
     return np.where(stop.any(axis=-1), stop.argmax(axis=-1), stop.shape[-1] - 1)
 
 
+def _lerch_expansion(alpha: np.ndarray, b: _LD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi(e^-alpha, 1, b) near z = 1 for every alpha and one shift b > 0.
+
+    The expansion (DLMF 25.14; Erdelyi et al., Higher Transcendental
+    Functions I, 1.11) is
+
+        Phi(e^-alpha, 1, b) = e^(b alpha) [-ln(alpha b) - gamma - (psi(b) - ln b)
+                               + sum_{k>=1} (-1)^(k+1) beta_k alpha^k / k],
+
+    with beta_k = B_k(b) / k! the Taylor coefficients of
+    g(t) = t e^(bt) / (e^t - 1), which is analytic for |t| < 2 pi.  Returns
+    the arrays ``(value, error_bound, terms_used)`` over alpha.  A point
+    stops at the first k whose truncation bound is below EPS times its
+    bracket, where further terms no longer move the long-double value, or
+    uses all ``EXPANSION_TERMS``.
+
+    Truncation.  On |t| = rho <= pi,
+    |e^t - 1|^2 = (e^x - 1)^2 + 4 e^x sin^2(y/2) with t = x + iy, and
+    sin u >= 2u/pi gives |e^t - 1| >= (2 rho / pi) min(1, e^x), so
+    |g| <= M = (pi/2) e^(rho s) with s = max(b, 1 - b).  Cauchy's estimate
+    |beta_k| <= M / rho^k bounds the series after k terms by
+    M q^(k+1) / ((k+1)(1 - q)), q = alpha / rho, and rho = min(pi, (k+1)/s)
+    minimises it.
+
+    Rounding.  beta_k alpha^k = sum_{i+j=k} (B_i / (i! c^i)) ((b/c)^j / j!)
+    (c alpha)^k with c = max(b, 1), so no power of a large b overflows.
+    Each +, -, * or / errs by at most U = EPS/2 relative, a library log
+    or exp by EPS.  Term k takes at most 6k + 3 roundings on its sum of
+    magnitudes: 2i + 1 for B_i / (i! c^i), 3j for (b/c)^j / j!, one for
+    their product, k for the convolution, one for / k, 2k - 1 for
+    (c alpha)^k and one for the product.  Adding a term t to a partial sum
+    s errs by at most min(U |s + t|, |t|), since s itself is a candidate
+    result.  The bracket's head, -ln(alpha b) - gamma - (psi(b) - ln b),
+    keeps -ln alpha and psi(b) from cancelling: its error is a few U of
+    |ln(alpha b)| plus that of :func:`_digamma_gap`.  The growth
+    e^(b alpha) takes EPS + U b alpha, and a rounded b moves Phi by at most
+    U (1 + 1/b), since |dPhi/db| <= 1/b^2 + 1/b.
+    """
+    over_fact, _ = _bernoulli()
+    n = EXPANSION_TERMS
+    c = max(b, _ONE)
+    k = _K
+    u = over_fact * np.concatenate([[_ONE], np.cumprod(np.full(n, _ONE / c))])
+    v = np.concatenate([[_ONE], np.cumprod((b / c) / k)])
+    coef = np.convolve(u, v)[1:n + 1] / k
+    coef_abs = np.convolve(abs(u), v)[1:n + 1] / k
+    powers = np.cumprod(np.broadcast_to((alpha * c)[:, None], (alpha.size, n)), axis=1)
+    steps = _SIGNS * coef * powers
+    partial = np.cumsum(steps, axis=1)
+
+    s = max(b, _ONE - b)
+    rho = np.minimum(_PI, (k + 1) / s)
+    cauchy = _PI / 2 * np.exp(rho * s) / (k + 1)
+    q = alpha[:, None] / rho
+    tails = np.where(q < _ONE, cauchy * q**(k + 1) / (_ONE - q), _LD(np.inf))
+
+    log_ab = np.log(alpha * b)
+    gap, gap_err = _digamma_gap(b)
+    head = -(log_ab + _EULER) - gap
+    brackets = head[:, None] + partial
+    at = _first_stop(tails <= _EPS_LD * abs(brackets))
+    pick = np.arange(alpha.size)
+    rounding = np.cumsum(_U * (6 * k + 3) * coef_abs * powers
+                         + np.minimum(_U * abs(partial), abs(steps)), axis=1)[pick, at]
+    head_err = _U * (3 + 3 * abs(log_ab) + abs(head)) + gap_err
+    bracket = brackets[pick, at]
+    grow = np.exp(b * alpha)
+    value = grow * bracket
+    err = (grow * (head_err + rounding + _U * abs(bracket) + tails[pick, at])
+           + (_EPS_LD + _U * (1 + b * alpha)) * abs(value) + _U * (_ONE + _ONE / b))
+    return value, err, at + 1
+
+
 def closed_moment_expansion(mu: float, alphas,
                             r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moment of :func:`closed_moment_sums` through the z -> 1 expansion of Phi, per alpha.
+    """The moment of :func:`closed_moment_sums` through the z -> 1 expansion, per alpha.
 
-    Partial fractions of the rearranged sum,
-    1/((1+mu x)(1+mu(x-1))) = mu^-1 [1/(1+mu(x-1)) - 1/(1+mu x)], give
+    With c = 1/mu, w_j = A_(r-1-j) / mu and the shifts c + j (j < r),
+    partial fractions of the rearranged sum and sum_l Atilde_l / b_l =
+    -mu^r give
 
-        M_r = -mu^(-2r) z^r sum_l Atilde_l [Phi(z,1,b_l) - Phi(z,1,b_l+1)],
-        b_l = 1/mu + r - l - 1 >= 1/mu,
+        M_r = mu^-r z^(r-1) (1 + G_r),  G_r = (1 - z) sum_j w_j Phi(z, 1, c + j),
 
-    with every shift positive, so no mu needs pole handling.  Two exact
-    identities remove the large, nearly equal Phi values:
-    Phi(z,1,b) - Phi(z,1,b+1) = (1 - 1/z) Phi(z,1,b) + 1/(b z), and
-    sum_l Atilde_l / b_l = -mu^r (the sum telescopes to
-    lim P(n) - P(r-1) = mu^-r).  Hence
+    with every shift positive, so no mu needs pole handling.  The w_j are
+    of size mu^-r and the sum cancels to about G_r = O(1).  The shift
+    identity Phi(z,1,c+j) = e^(j alpha) [Phi(z,1,c) - sum_{i<j} z^i/(c+i)]
+    moves that cancellation into two entire functions of alpha,
 
-        M_r = mu^-r z^(r-1) [1 + (1-z) mu^-r sum_l Atilde_l Phi(z,1,b_l)],
+        G_r = (1 - z) [Phi(z, 1, c) W(alpha) - V(alpha)],
+        W = sum_j w_j e^(j alpha),  V = sum_{d=1}^{r-1} kappa_d e^(d alpha),
+        kappa_d = sum_{i<=r-1-d} w_(i+d) / (c + i),
 
-    each Phi from :func:`_lerch_expansion`.  Every term is formed at a
-    cost that does not depend on alpha, so no tolerance is taken: a point
-    stops at the first k whose truncation bound is below EPS |value|,
-    where further terms no longer move the long-double value, or uses all
-    ``EXPANSION_TERMS``; the caller compares the bound with its tolerance.
+    whose Taylor coefficients omega_n = sum_j w_j j^n / n! and
+    nu_n = sum_d kappa_d d^n / n! are exact rationals: a double mu = p/q is
+    a dyadic rational, and ``partfrac._coeff_ratios`` gives every A_l in
+    integers, so omega_n and nu_n are formed over one common denominator
+    and each is rounded once.  This is the series
+    G_r = sum_n alpha^n [P_n (-ln alpha - gamma - psi(c)) + Q_n], with
+    sum P_n alpha^n = (1 - z) e^(c alpha) W and
+    sum Q_n alpha^n = (1 - z) (e^(c alpha) S W - V), S the Bernoulli series
+    of Phi(z, 1, c), evaluated as its factors; the one Phi comes from
+    :func:`_lerch_expansion`.  The coefficients are built once per call,
+    for every alpha.
 
-    The error bound adds the truncation, the rounding of every Phi
-    (``_EXPANSION_ROUNDING`` EPS times its magnitudes, plus 2 EPS (1 + 1/b)
-    for the rounding of b through |dPhi/db| <= 1/b^2 + 1/b), the
-    coefficient errors of :func:`_a_tilde_product` times |Phi|, the
-    rounding of the combination, and the final rounding to double.  The
-    bound is finite wherever the series converges, alpha < pi; it is small
-    only where alpha (1/mu + r) is well below 1, where e^(b alpha) stays
-    near 1.  The sum over l still cancels by about mu^-r, so at small mu
-    and large r the bound can miss a tight tolerance.  Returns the arrays
-    ``(value, error_bound, terms_used)`` over alpha, terms counting
-    Bernoulli terms.
+    Truncation.  With x = (r-1) alpha, |omega_m alpha^m| <= sum_j |w_j|
+    x^m / m!, so the tail of W after term n is at most
+    sum_j |w_j| x^(n+1) / (n+1)! / (1 - x/(n+2)), and likewise for V with
+    sum_d |kappa_d|.  The coefficients are built up to the first n at
+    which the largest alpha has both tails below U = EPS/2 of |omega_0|
+    and |nu_0|, or up to ``MAX_ORDER``; each point then stops at the first
+    n where its tails are below U of its partial W and V, where their
+    share of G_r is below one rounding of it.
+
+    Rounding, formed at run time.  Term t_n of W or V takes n + 1
+    roundings (the coefficient, alpha^n and the product), each at most
+    U = EPS/2 of |t_n|, and adding it to the partial sum s errs by at most
+    min(U |s|, |t_n|).  Phi's error, the factor 1 - z = -expm1(-alpha),
+    mu^-r = (q/p)^r rounded once and e^(-alpha (r-1)) add their shares, and
+    the final rounding to double adds DBL_EPS |value|.  The bound is
+    finite wherever the expansion of Phi converges, alpha c < 2 pi; it is
+    small where alpha (1/mu + r) is well below 1.  ``terms_used`` counts
+    the Taylor terms of W and V.
     """
-    mu_ld = _LD(mu)
     alpha = np.asarray(alphas, dtype=_LD)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coeffs, coeff_errs = _a_tilde_product(mu_ld, r)
-        b = _ONE / mu_ld + np.arange(r - 1, -1, -1).astype(_LD)
-        head, steps, tails, magnitude = _lerch_expansion(alpha, b)
-        inv_mu_r = _ONE
-        for _ in range(r):
-            inv_mu_r /= mu_ld
-        front = inv_mu_r * np.exp(-alpha * (r - 1))
-        pre = -np.expm1(-alpha) * inv_mu_r
-        phis = head[:, :, None] + np.cumsum(steps, axis=2)
-        sums = np.einsum("l,nlk->nk", coeffs, phis)
-        values = front[:, None] * (_ONE + pre[:, None] * sums)
-        truncs = (front * pre)[:, None] * np.einsum("l,nlk->nk", abs(coeffs), tails)
-        at = _first_stop(truncs <= _EPS_LD * abs(values))
+    frac = Fraction(mu)
+    p, q = frac.numerator, frac.denominator
+    # w_j = weights[j] / w_den and kappa_d = p kernel[d-1] / k_den, in integers
+    w_den = p**r * math.factorial(r - 1)
+    weights = [num * q * (w_den // (den * p)) for num, den in reversed(_coeff_ratios(r, frac))]
+    shifts = [q + i * p for i in range(r - 1)]
+    prod_shifts = math.prod(shifts)
+    kernel = [sum(weights[i + d] * (prod_shifts // shifts[i]) for i in range(r - d))
+              for d in range(1, r)]
+    k_den = w_den * prod_shifts
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        # sum_j |w_j| and sum_d |kappa_d|, which bound |omega_n| and |nu_n| n! / (r-1)^n
+        size_w, size_v, omega_0, nu_0, c, inv_mu_r = _ld_ratios(
+            (sum(map(abs, weights)), p * sum(map(abs, kernel)), sum(weights), p * sum(kernel),
+             q, q**r),
+            (w_den, k_den, w_den, k_den, p, p**r))
+        # the coefficients' numerators up to the first n at which the largest alpha passes
+        nums_w, nums_v, facts = [], [], []
+        j_pow, d_pow = [1] * r, [1] * (r - 1)
+        spread = (r - 1) * alpha.max(initial=_ZERO)
+        rest = _ONE
+        for n in range(MAX_ORDER + 1):
+            nums_w.append(sum(w * x for w, x in zip(weights, j_pow)))
+            nums_v.append(p * sum(k * x for k, x in zip(kernel, d_pow)))
+            facts.append(math.factorial(n))
+            rest *= spread / (n + 1)
+            share = _U * (n + 2 - spread) / (n + 2)
+            if spread < n + 2 and (size_w * rest <= share * abs(omega_0)
+                                   and size_v * rest <= share * abs(nu_0)):
+                break
+            j_pow = [x * j for j, x in enumerate(j_pow)]
+            d_pow = [x * (d + 1) for d, x in enumerate(d_pow)]
+        coeffs = _ld_ratios(nums_w + nums_v,
+                            [w_den * f for f in facts] + [k_den * f for f in facts])
+
+        # every alpha against those coefficients: arrays over (alpha, W or V, n)
+        order = np.arange(len(facts))
+        spread = ((r - 1) * alpha)[:, None]
+        powers = np.cumprod(np.concatenate([np.ones((alpha.size, 1), _LD),
+                                            np.repeat(alpha[:, None], order.size - 1, axis=1)],
+                                           axis=1), axis=1)
+        steps = powers[:, None, :] * coeffs.reshape(2, order.size)
+        partial = np.cumsum(steps, axis=2)
+        rounding = np.cumsum(_U * (order + 1) * abs(steps)
+                             + np.minimum(_U * abs(partial), abs(steps)), axis=2)
+        beyond = np.where(spread < order + 2,
+                          np.cumprod(spread / (order + 1), axis=1) / (_ONE - spread / (order + 2)),
+                          _LD(np.inf))
+        tails = beyond[:, None, :] * np.array([size_w, size_v])[:, None]
+        at = _first_stop((tails <= _U * abs(partial)).all(axis=1))
         pick = np.arange(alpha.size)
-        value, trunc, s_val = values[pick, at], truncs[pick, at], sums[pick, at]
-        phi_err = _EPS_LD * (_EXPANSION_ROUNDING * magnitude + 2 * (_ONE + _ONE / b))
-        s_err = ((abs(coeffs) * phi_err).sum(axis=1) + (coeff_errs * magnitude).sum(axis=1)
-                 + _EPS_LD * (r + 2) * (abs(coeffs) * magnitude).sum(axis=1))
-        inner_err = pre * s_err + _EPS_LD * (r + 6) * (_ONE + abs(pre * s_val))
-        err = front * inner_err + trunc + _DBL_EPS * abs(value)
+        (w_sum, v_sum), (w_err, v_err) = partial[pick, :, at].T, (rounding + tails)[pick, :, at].T
+
+        phi, phi_err, _ = _lerch_expansion(alpha, c)
+        gap = -np.expm1(-alpha)
+        prod = phi * w_sum
+        diff = prod - v_sum
+        g = gap * diff
+        g_err = (gap * (abs(w_sum) * phi_err + abs(phi) * w_err + v_err
+                        + _U * (abs(prod) + abs(diff))) + (_EPS_LD + _U) * abs(g))
+        one = _ONE + g
+        front = inv_mu_r * np.exp(-alpha * (r - 1))
+        value = front * one
+        err = (front * (g_err + _U * abs(one)) + _U * (5 + alpha * (r - 1)) * abs(value)
+               + _DBL_EPS * abs(value))
     return _curve_sums(value, err, (at + 1).astype(np.int64))
 
 
@@ -546,20 +616,12 @@ def lerch_expansion(z: float, a: float):
     alpha = -ln z is formed as -log1p(z - 1), with z - 1 exact for
     z >= 1/2 and a relative error below 2 EPS; |dPhi/dalpha| <= z/(1-z),
     so that error moves Phi by at most 2 EPS alpha / (e^alpha - 1) <= 2 EPS.
-    The sum stops at the first k whose truncation bound is below
-    EPS |value|, or uses all ``EXPANSION_TERMS``.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         alpha = -np.log1p(np.array([z], dtype=_LD) - _ONE)
-        b = np.array([a], dtype=_LD)
-        head, steps, tails, magnitude = _lerch_expansion(alpha, b)
-        phis = head[0, 0] + np.cumsum(steps[0, 0])
-        at = int(_first_stop(tails[0, 0] <= _EPS_LD * abs(phis)))
-        value = phis[at]
-        err = (tails[0, 0, at] + _EPS_LD * (_EXPANSION_ROUNDING * magnitude[0, 0]
-                                           + 2 * (_ONE + _ONE / b[0]) + 2)
-               + _DBL_EPS * abs(value))
-    return float(value), float(err), at + 1
+        value, err, terms = _lerch_expansion(alpha, _LD(a))
+        err = err + 2 * _EPS_LD + _DBL_EPS * abs(value)
+    return float(value[0]), float(err[0]), int(terms[0])
 
 
 def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
@@ -588,10 +650,10 @@ def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
         za = z[active, None]
         zn_before, zns = _powers(zn[active], za, width)
         accs = _running_sum(acc[active], products(n) * zn_before)
-        tails = _geometric_tail(n, r, za, zns)
         g = gap[active, None]
-        stop = g * tails <= np.fmax(atol_ld, rtol_ld * g * accs)
-        return stop, (zns, accs, tails)
+        bound = np.fmax(atol_ld, rtol_ld * g * accs)
+        tails = _block_tails(n, r, za, zns, lambda last: g * last <= bound[:, -1:])
+        return g * tails <= bound, (zns, accs, tails)
 
     terms = _sum_rows(z.size, max_terms, block, [zn, acc, tail])
     value = gap * acc

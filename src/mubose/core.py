@@ -15,6 +15,7 @@ so they can validate each other.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Sequence
@@ -86,35 +87,40 @@ def mu_factorial(r: int, mu: float) -> float:
     return out
 
 
-def _route(kind: str, mu: float, r: int, tol: float, method: str) -> bool | None:
-    """Route of a whole curve: True closed form, False oracle, None exact (mu = 0).
+def _route(kind: str, mu: float, r: int, tol: float, method: str) -> str | None:
+    """Route of a whole curve: ``auto``, ``closed``, ``oracle``, or None for exact (mu = 0).
 
-    Both routes hold for every mu > 0.  The kernel bounds the closed
-    form's roundoff by EPS (2r+6) times its sum of absolute terms, and
-    the first term's ratio of that sum to the value,
-    ``kernels.closed_condition``, estimates the ratio of the whole sum.
-    ``auto`` takes the closed form wherever that estimate puts the
-    roundoff within half of ``tol``, and the oracle elsewhere;
-    :func:`oracle_moment` always takes the oracle.  A forced closed form
-    whose estimate is infinite cannot be formed and raises.  The route
-    depends only on (kind, mu, r, tol, method), so a curve decides it
-    once, and the DomainError raised here concerns every point.
+    Validates the order, the tolerance and the method, and raises the
+    DomainError that concerns every point.  :func:`oracle_moment` and
+    ``method="oracle"`` take the oracle; a mean takes the closed form.
     """
     if kind == "mean":
         _check_tol(tol)
-        return None if mu == 0.0 else True
+        return None if mu == 0.0 else "closed"
     _check_order(r, minimum=2 if kind == "intercept" else 1)
     _check_tol(tol)
     if kind == "series":
-        return False
+        return "oracle"
     if kind == "intercept" and method not in ("auto", "closed", "oracle"):
         raise DomainError(f"unknown method {method!r}")
-    if mu == 0.0:
-        return None
-    if method == "oracle":
+    return None if mu == 0.0 else method
+
+
+def _series_closed(mu: float, r: int, tol: float, route: str) -> bool:
+    """Whether a curve's points that need a series take the closed series.
+
+    Both series hold for every mu > 0.  The kernel bounds the closed
+    series' roundoff by EPS (2r+6) times its sum of absolute terms, and
+    the first term's ratio of that sum to the value,
+    ``kernels.closed_condition``, estimates the ratio of the whole sum.
+    ``auto`` takes the closed series wherever that estimate puts the
+    roundoff within half of ``tol``, and the oracle elsewhere.  A forced
+    closed series whose estimate is infinite cannot be formed and raises.
+    """
+    if route == "oracle":
         return False
     kappa = kernels.closed_condition(mu, r)
-    if method == "closed":
+    if route == "closed":
         if kappa == math.inf:
             raise DomainError(f"the closed form at mu={mu}, r={r} cancels beyond the "
                               "double range; use the oracle")
@@ -209,15 +215,18 @@ def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) 
     return log_tail > math.log(2.0) + np.maximum(math.log(_TINY), math.log(rtol) + log_size)
 
 
-def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float,
-          closed: bool, curve: _Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(value, error, converged) of the r-th moment at ``alphas[todo]``, in one call per kernel.
+def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, route: str,
+          series, curve: _Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(value, error, method code, converged) of the r-th moment at ``alphas[todo]``.
 
-    The closed form takes each point with alpha (1/mu + r) <= EXPANSION_REACH
-    from the z -> 1 expansion of the Lerch transcendent
-    (``kernels.closed_moment_expansion``), whose cost does not grow as
-    alpha falls.  A point whose expansion bound misses rtol |value| plus
-    the final rounding to double goes to the series with the rest.
+    Unless the route is ``oracle``, each point with
+    alpha (1/mu + r) <= EXPANSION_REACH is first taken from the z -> 1
+    expansion (``kernels.closed_moment_expansion``), whose cost does not
+    grow as alpha falls; a point whose bound meets rtol |value| plus the
+    final rounding to double keeps it, tagged closed form.  The points
+    left are summed in one call of the series that ``series()`` names
+    (:func:`_series_closed`, rated once the expansion has taken its
+    points); where it raises, they fail with its DomainError.
 
     A series sum also stops once its tail is below ``_TINY``, which no
     double result can resolve: a moment below the long-double range sums
@@ -229,29 +238,39 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float,
     """
     a = alphas[todo]
     value, err = np.empty(a.size), np.empty(a.size)
-    series = np.ones(a.size, dtype=bool)
-    if closed:
+    code = np.full(a.size, _METHODS.index(CLOSED_FORM), dtype=np.int8)
+    converged = np.ones(a.size, dtype=bool)
+    rest = np.arange(a.size)
+    if route != "oracle":
         near = np.flatnonzero(a * (1.0 / mu + r) <= EXPANSION_REACH)
         if near.size:
             v, e, _ = kernels.closed_moment_expansion(mu, a[near], r)
             ok = e <= np.maximum(_TINY, (rtol + DBL_EPS) * np.abs(v))
-            near = near[ok]
-            value[near], err[near] = v[ok], e[ok]
-            series[near] = False
+            value[near[ok]], err[near[ok]] = v[ok], e[ok]
+            rest = np.setdiff1d(rest, near[ok], assume_unique=True)
+    if not rest.size:
+        return value, err + _TINY, code, converged
+    try:
+        closed = series()
+    except DomainError as exc:
+        for i in rest.tolist():
+            curve.fail(int(todo[i]), exc)
+        converged[rest] = False
+        return value, err + _TINY, code, converged
+    if closed:
         sums, what = kernels.closed_moment_sums, "closed-form moment"
     else:
         sums, what = kernels.oracle_moment_sums, "oracle moment"
-    rest = np.flatnonzero(series)
+        code[rest] = _METHODS.index(ORACLE)
     hopeless = _beyond_budget(mu, a[rest], r, rtol, closed)
     run = rest[~hopeless]
-    converged = np.ones(a.size, dtype=bool)
     converged[rest[hopeless]] = False
     if run.size:
         value[run], err[run], terms = sums(mu, a[run], r, rtol, _TINY, MAX_TERMS)
         converged[run[terms >= MAX_TERMS]] = False
     for i in np.flatnonzero(~converged).tolist():
         curve.fail(int(todo[i]), _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(a[i]), r=r))
-    return value, err + _TINY, converged
+    return value, err + _TINY, code, converged
 
 
 def _bose(alpha: float) -> float:
@@ -285,12 +304,14 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
 
     ``kind`` is ``"mean"`` (<a+ a>; ``r`` is not used), ``"moment"``
     (:func:`r_moment`), ``"series"`` (:func:`oracle_moment`) or
-    ``"intercept"`` (:func:`intercept`).  Each series is summed for all
-    points in one kernel call.  An invalid mu raises.  Every other
-    failure is kept in the slot of its point, in the precedence of a
-    one-point call: an invalid alpha, then the route's DomainError (an
-    invalid order, tolerance or method), then the point's
-    ConvergenceError.  Every mu > 0 has a value on both routes.
+    ``"intercept"`` (:func:`intercept`).  Each kernel sums all of its
+    points in one call.  An intercept's mean and moment take the series
+    route rated at order r, and its method tag is the larger of theirs.
+    An invalid mu raises.  Every other failure is kept in the slot of its
+    point, in the precedence of a one-point call: an invalid alpha, then
+    the route's DomainError (an invalid order, tolerance or method), then
+    the point's DomainError (a forced closed series that cannot be formed)
+    or ConvergenceError.  Every mu > 0 has a value on both routes.
     """
     mu = _as_mu(d)
     a = np.asarray(alphas, dtype=float)
@@ -303,24 +324,24 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
             curve.fail(i, exc)
     todo = np.flatnonzero(valid)
     try:
-        closed = _route(kind, mu, r, tol, method)
+        route = _route(kind, mu, r, tol, method)
     except DomainError as exc:
         for i in todo.tolist():
             curve.fail(i, exc)
         return curve
-    if closed is None:
+    if route is None:
         curve.put(todo, *_exact(kind, a[todo], r), _METHODS.index(CLOSED_FORM))
         return curve
-    tag = _METHODS.index(CLOSED_FORM if closed else ORACLE)
+    order = 1 if kind == "mean" else r
+    series = functools.partial(_series_closed, mu, order, tol, route)
     if kind != "intercept":
-        order = 1 if kind == "mean" else r
-        value, err, ok = _sums(mu, a, todo, order, tol, closed, curve)
-        curve.put(todo[ok], value[ok], err[ok], tag)
+        value, err, tag, ok = _sums(mu, a, todo, order, tol, route, series, curve)
+        curve.put(todo[ok], value[ok], err[ok], tag[ok])
         return curve
 
     part_tol = tol / (2.0 * (r + 1))
-    mean, mean_err, ok = _sums(mu, a, todo, 1, part_tol, closed, curve)
-    todo, mean, mean_err = todo[ok], mean[ok], mean_err[ok]
+    mean, mean_err, tag, ok = _sums(mu, a, todo, 1, part_tol, route, series, curve)
+    todo, mean, mean_err, tag = todo[ok], mean[ok], mean_err[ok], tag[ok]
     under = mean <= 0.0
     rest = ~under
     under[rest] = r * _libm(math.log, mean[rest]) < math.log(UNDERFLOW_FLOOR)
@@ -331,9 +352,10 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
         curve.put(todo[under], value, err, _METHODS.index(ASYMPTOTIC))
         log.info("intercept(mu=%g, r=%d): occupation underflow at %d of %d alphas, "
                  "returning the asymptotic value", mu, r, under.sum(), a.size)
-        todo, mean, mean_err = todo[~under], mean[~under], mean_err[~under]
-    mom, mom_err, ok = _sums(mu, a, todo, r, part_tol, closed, curve)
+        todo, mean, mean_err, tag = todo[~under], mean[~under], mean_err[~under], tag[~under]
+    mom, mom_err, mom_tag, ok = _sums(mu, a, todo, r, part_tol, route, series, curve)
     mean, mean_err, mom, mom_err = mean[ok], mean_err[ok], mom[ok], mom_err[ok]
+    tag = np.maximum(tag[ok], mom_tag[ok])
     ratio = mom / _libm(lambda m: m**r, mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = ratio * (mom_err / mom + r * mean_err / mean) + 8.0 * DBL_EPS * ratio
@@ -367,8 +389,10 @@ def r_moment(d: DeformationMu | float, alpha: float, r: int,
     """Normalised r-th moment <(a+)^r a^r>.
 
     Uses the partial-fraction/Lerch closed form, which holds for every
-    mu > 0, wherever it is well conditioned at the requested tolerance;
-    otherwise the direct series takes over and the result is tagged
+    mu > 0: where alpha (1/mu + r) <= EXPANSION_REACH through its z -> 1
+    expansion, whenever that meets the tolerance, and otherwise through
+    its series wherever that is well conditioned at the tolerance;
+    elsewhere the direct series takes over and the result is tagged
     ``oracle``.  mu = 0 is exactly r! / (e^alpha - 1)^r.
     """
     return _point(_curve("moment", d, (alpha,), r, tol))
@@ -404,9 +428,12 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
     Parameters
     ----------
     method : {"auto", "closed", "oracle"}
-        ``auto`` takes the closed form, which holds for every mu > 0,
-        wherever it is well conditioned for ``tol`` and the series oracle
-        elsewhere; ``closed`` and ``oracle`` force one route, for
+        ``auto`` takes the closed form, which holds for every mu > 0:
+        through its z -> 1 expansion where alpha (1/mu + r) <=
+        EXPANSION_REACH and the expansion meets its share of ``tol``,
+        else through its series wherever that is well conditioned for
+        ``tol``, and the series oracle elsewhere.  ``closed`` never takes
+        the oracle and ``oracle`` never takes the closed form, for
         cross-checks.
 
     Notes

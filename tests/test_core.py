@@ -500,31 +500,34 @@ def _shift_form(mu, alpha, r):
 
 
 class TestSmallAlpha:
-    """alpha down to 1e-12, where the closed form goes through the z -> 1 expansion."""
+    """alpha (1/mu + r) <= 0.5, alpha down to 1e-13: the closed form's z -> 1 expansion."""
 
     @settings(max_examples=30)
     @given(
-        mu=st.one_of(st.sampled_from([1.0 / j for j in range(1, 7)]),
-                     st.floats(min_value=0.05, max_value=4.0)),
-        r=st.integers(min_value=1, max_value=8),
-        alpha=st.floats(min_value=math.log(1e-12), max_value=math.log(0.5)).map(math.exp),
+        mu=st.one_of(st.sampled_from([1.0 / j for j in (1, 2, 3, 5, 10, 30, 100, 1000)]),
+                     st.floats(min_value=math.log(1e-3), max_value=math.log(4.0)).map(math.exp)),
+        r=st.integers(min_value=1, max_value=16),
+        reach=st.floats(min_value=math.log(1e-10), max_value=math.log(0.499)).map(math.exp),
     )
-    def test_bounds_hold(self, mu, r, alpha):
+    def test_bounds_hold(self, mu, r, reach):
+        # the expansion takes every point, whatever the closed series' condition
         mpmath = pytest.importorskip("mpmath")
+        alpha = reach / (1.0 / mu + r)
         mean, moment = _shift_form(mu, alpha, r)
         _assert_within_bound(mean_occupation(mu, alpha), mean)
         query = LerchQuery(math.exp(-alpha), 1.0 / mu)
         with mpmath.workdps(60):
             phi = mpmath.lerchphi(mpmath.mpf(query.z), 1, mpmath.mpf(query.a))
         assert abs(lerch_phi_s1(query) - phi) <= query.tol
-        # the oracle route (r >= 4 at small mu) costs 1/alpha terms: large alphas only
-        if not (core._route("moment", mu, r, DEFAULT_TOL, "auto") or alpha >= 1e-2):
-            return
-        _assert_within_bound(r_moment(mu, alpha, r), moment)
+        res = r_moment(mu, alpha, r)
+        _assert_within_bound(res, moment)
+        assert res.method == CLOSED_FORM and res.error_bound <= DEFAULT_TOL * res.value
         if r >= 2:
             want = moment / mean**r - 1
             for method in ("auto", "closed"):
-                _assert_within_bound(intercept(mu, alpha, r, method=method), want)
+                res = intercept(mu, alpha, r, method=method)
+                _assert_within_bound(res, want)
+                assert res.method == CLOSED_FORM
 
     @pytest.mark.parametrize("mu, alpha, r", [(0.5, 1e-3, 3), (0.1, 0.02, 1), (0.1, 0.02, 3),
                                               (0.05, 0.3, 8), (2.7, 0.05, 2), (1.0 / 3.0, 0.4, 6)])
@@ -550,14 +553,37 @@ class TestSmallAlpha:
         call()
         assert time.perf_counter() - start < 0.05
 
+    @pytest.mark.parametrize("call, scale", [
+        # before the coefficients were exact these took 41 s and failed, 7.4 s,
+        # failed, and 0.22 s on the series with a bound above tol
+        (lambda: r_moment(0.11, 1e-6, 5), 62064.46), (lambda: r_moment(0.05, 1e-5, 8), 2.534e10),
+        (lambda: r_moment(0.05, 1e-6, 8), 2.556e10),
+        (lambda: intercept(0.05, 1e-4, 8, method="closed"), 1.0)])
+    def test_small_mu_large_order(self, call, scale):
+        res = call()
+        assert res.method == CLOSED_FORM and res.error_bound <= DEFAULT_TOL * scale
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.005
+
+    def test_conditioning_leaves_the_expansion_alone(self):
+        # the small_alpha benchmark slot at mu ~ 0.012, r = 3, where the closed
+        # series' condition is 1.8e7 and the oracle would sum about 1/alpha terms
+        assert intercept(0.01174, 0.0024104937738553735, 3).method == CLOSED_FORM
+
 
 class TestTermBudget:
     """A sum that cannot stop within MAX_TERMS fails before it is summed."""
 
     def test_fails_fast(self):
         start = time.perf_counter()
+        # auto beyond the z -> 1 expansion's reach, alpha (1/mu + r) = 10, where
+        # the series would need about 4e8 terms
         with pytest.raises(ConvergenceError, match="oracle moment"):
-            intercept(0.008, 1e-9, 3)
+            intercept(1e-8, 1e-7, 3)
         with pytest.raises(ConvergenceError, match="oracle moment"):
             intercept(0.1, 1e-9, 3, method="oracle")
         assert time.perf_counter() - start < 0.1

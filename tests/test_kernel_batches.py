@@ -30,7 +30,7 @@ def _closed_loop(mu, alpha, r, rtol, atol, max_terms):
     mu_ld = _LD(mu)
     z = np.exp(-_LD(alpha))
     inv_gap = _ONE / (_ONE - z)
-    coeffs = kp._a_tilde(mu_ld, r)
+    coeffs = kp._scaled_coeffs(mu, r)
     big_k = _ZERO
     for l in range(r):
         big_k += abs(coeffs[l])
