@@ -27,10 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DBL_EPS, MAX_ORDER
+from .partfrac import _coeff_ratios
 
 # the partial-fraction coefficients A_l(mu) as doubles: partfrac forms them
 # exactly and rounds each once, and this name binds that same function
-from .partfrac import _coeff_ratios
 from .partfrac import _coeff_values as a_coeff_values  # noqa: F401
 
 _LD = np.longdouble
@@ -468,10 +468,11 @@ def _lerch_expansion(alpha: np.ndarray, b: _LD) -> tuple[np.ndarray, np.ndarray,
     partial = np.cumsum(steps, axis=1)
 
     s = max(b, _ONE - b)
-    rho = np.minimum(_PI, (k + 1) / s)
-    cauchy = _PI / 2 * np.exp(rho * s) / (k + 1)
+    k1 = k + 1
+    rho = np.minimum(_PI, k1 / s)
+    cauchy = _PI / 2 * np.exp(rho * s) / k1
     q = alpha[:, None] / rho
-    tails = np.where(q < _ONE, cauchy * q**(k + 1) / (_ONE - q), _LD(np.inf))
+    tails = np.where(q < _ONE, cauchy * q**k1 / (_ONE - q), _LD(np.inf))
 
     log_ab = np.log(alpha * b)
     gap, gap_err = _digamma_gap(b)
@@ -552,33 +553,40 @@ def closed_moment_expansion(mu: float, alphas,
               for d in range(1, r)]
     k_den = w_den * prod_shifts
 
+    # sum_j |w_j| and sum_d |kappa_d|, which bound |omega_n| and |nu_n| n! / (r-1)^n
+    sizes = (sum(map(abs, weights)), p * sum(map(abs, kernel)))
+    # the coefficients up to the first n at which the largest alpha has both
+    # tails below U |omega_0| and U |nu_0|, tested in logarithms of the integers
+    spread = float((r - 1) * alpha.max(initial=_ZERO))
+    firsts = (sum(weights), p * sum(kernel))
+    log_ratio = max((math.log(size) - math.log(abs(first)) if first else math.inf
+                     for size, first in zip(sizes, firsts) if size),
+                    default=-math.inf) - math.log(_U)
+    log_rest = 0.0
+    for size in range(1, MAX_ORDER + 2):
+        if spread == 0.0:
+            break
+        log_rest += math.log(spread / size)
+        if spread < size + 1 and log_ratio + log_rest - math.log1p(-spread / (size + 1)) <= 0.0:
+            break
+    nums_w, nums_v, dens_w, dens_v = [], [], [], []
+    j_pow, d_pow, fact = [1] * r, [1] * (r - 1), 1
+    for n in range(size):
+        nums_w.append(sum(w * x for w, x in zip(weights, j_pow)))
+        nums_v.append(p * sum(k * x for k, x in zip(kernel, d_pow)))
+        dens_w.append(w_den * fact)
+        dens_v.append(k_den * fact)
+        j_pow = [x * j for j, x in enumerate(j_pow)]
+        d_pow = [x * (d + 1) for d, x in enumerate(d_pow)]
+        fact *= n + 1
+
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        # sum_j |w_j| and sum_d |kappa_d|, which bound |omega_n| and |nu_n| n! / (r-1)^n
-        size_w, size_v, omega_0, nu_0, c, inv_mu_r = _ld_ratios(
-            (sum(map(abs, weights)), p * sum(map(abs, kernel)), sum(weights), p * sum(kernel),
-             q, q**r),
-            (w_den, k_den, w_den, k_den, p, p**r))
-        # the coefficients' numerators up to the first n at which the largest alpha passes
-        nums_w, nums_v, facts = [], [], []
-        j_pow, d_pow = [1] * r, [1] * (r - 1)
-        spread = (r - 1) * alpha.max(initial=_ZERO)
-        rest = _ONE
-        for n in range(MAX_ORDER + 1):
-            nums_w.append(sum(w * x for w, x in zip(weights, j_pow)))
-            nums_v.append(p * sum(k * x for k, x in zip(kernel, d_pow)))
-            facts.append(math.factorial(n))
-            rest *= spread / (n + 1)
-            share = _U * (n + 2 - spread) / (n + 2)
-            if spread < n + 2 and (size_w * rest <= share * abs(omega_0)
-                                   and size_v * rest <= share * abs(nu_0)):
-                break
-            j_pow = [x * j for j, x in enumerate(j_pow)]
-            d_pow = [x * (d + 1) for d, x in enumerate(d_pow)]
-        coeffs = _ld_ratios(nums_w + nums_v,
-                            [w_den * f for f in facts] + [k_den * f for f in facts])
+        coeffs = _ld_ratios(nums_w + nums_v + [sizes[0], sizes[1], q, q**r],
+                            dens_w + dens_v + [w_den, k_den, p, p**r])
+        coeffs, (size_w, size_v, c, inv_mu_r) = coeffs[:-4], coeffs[-4:]
 
         # every alpha against those coefficients: arrays over (alpha, W or V, n)
-        order = np.arange(len(facts))
+        order = np.arange(size)
         spread = ((r - 1) * alpha)[:, None]
         powers = np.cumprod(np.concatenate([np.ones((alpha.size, 1), _LD),
                                             np.repeat(alpha[:, None], order.size - 1, axis=1)],
