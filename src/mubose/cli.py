@@ -23,17 +23,10 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import NamedTuple
 
 from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, CorrelationResult, ThermoPoint
 from .errors import ConvergenceError, DomainError, _check_mu, _check_tol
-
-if TYPE_CHECKING:
-    from types import ModuleType
-
-    import numpy as np
-
-    from .core import _Curve
 
 DEFAULT_MASS = 139.57
 
@@ -43,39 +36,14 @@ COEFF_HEADER = ("l", "a_l")
 TAYLOR_HEADER = ("s", "partial_sum", "term_magnitude")
 
 
-class _Preset(NamedTuple):
-    """One figure curve: what its points evaluate and the k -> infinity row."""
-
-    quantity: str
-    r: int
-    mus: tuple[float, ...]
-    #: (core, mu, alphas, tol, method) -> the curve's results as arrays (core._Curve)
-    evaluate: Callable[[ModuleType, float, np.ndarray, float, str], _Curve]
-    #: (core, mu) -> asymptotic value closing each curve, or None for no asymptote row
-    asymptote: Callable[[ModuleType, float], float] | None
-
-
-# The lambdas take the core module, which figure_records imports, and look
-# its functions up at call time, so wrappers installed on the core module
-# (mocks, profiling spans) see every call.
+#: preset -> (quantity, core._curve kind, r, mus): the rows of one figure
 _PRESETS = {
-    "fig1": _Preset(
-        "distribution", 1, (0.0, 0.1, 0.2),
-        lambda core, mu, alphas, tol, method: core._curve("mean", mu, alphas, 1, tol), None),
-    "fig2": _Preset(
-        "lambda2", 2, (0.1, 0.2),
-        lambda core, mu, alphas, tol, method: core._curve("intercept", mu, alphas, 2, tol, method),
-        lambda core, mu: core.intercept_asymptotic(mu, 2)),
-    "fig3": _Preset(
-        "lambda3", 3, (0.1, 0.2),
-        lambda core, mu, alphas, tol, method: core._curve("intercept", mu, alphas, 3, tol, method),
-        lambda core, mu: core.intercept_asymptotic(mu, 3)),
-    "fig4": _Preset(
-        "r3", 3, (0.1, 0.2),
-        lambda core, mu, alphas, tol, method: core._r3_curve(mu, alphas, tol, method),
-        lambda core, mu: core.r3_asymptotic(mu)),
+    "fig1": ("distribution", "mean", 1, (0.0, 0.1, 0.2)),
+    "fig2": ("lambda2", "intercept", 2, (0.1, 0.2)),
+    "fig3": ("lambda3", "intercept", 3, (0.1, 0.2)),
+    "fig4": ("r3", "r3", 3, (0.1, 0.2)),
 }
-FIGURE_MUS = {name: preset.mus for name, preset in _PRESETS.items()}
+FIGURE_MUS = {name: preset[3] for name, preset in _PRESETS.items()}
 FIGURE_TEMPS = (120.0, 180.0)
 
 
@@ -187,7 +155,7 @@ def figure_records(preset: str, grid: GridSpec,
 
     if preset not in _PRESETS:
         raise DomainError(f"unknown figure preset {preset!r}")
-    spec = _PRESETS[preset]
+    quantity, kind, r, _ = _PRESETS[preset]
     records: list[OutputRecord] = []
     failed = 0
     method = "oracle" if allow_oracle else "auto"
@@ -199,7 +167,7 @@ def figure_records(preset: str, grid: GridSpec,
         with np.errstate(over="ignore"):
             alphas = energies / T
         for mu in grid.mus:
-            curve = spec.evaluate(core, mu, alphas, grid.tol, method)
+            curve = core._curve(kind, mu, alphas, r, grid.tol, method)
             for i, exc in sorted(curve.failures.items()):
                 print(f"record (T={T:g}, mu={mu:g}, k={momenta[i]:g}) failed: {exc}",
                       file=sys.stderr)
@@ -207,11 +175,12 @@ def figure_records(preset: str, grid: GridSpec,
             methods = np.array(core._METHODS, dtype=object)[curve.method]
             held = np.isin(curve.method, [core._METHODS.index(m) for m in _TOL_METHODS])
             methods[held & (curve.error_bound > grid.tol)] += "+overtol"
-            records += map(OutputRecord, repeat(spec.quantity, size), momenta, repeat(T, size),
-                           repeat(mu, size), repeat(spec.r, size), curve.value.tolist(),
+            records += map(OutputRecord, repeat(quantity, size), momenta, repeat(T, size),
+                           repeat(mu, size), repeat(r, size), curve.value.tolist(),
                            curve.error_bound.tolist(), methods.tolist())
-            if spec.asymptote is not None:
-                records.append(_asymptote(T, mu, spec.r, spec.asymptote(core, mu)))
+            if kind != "mean":
+                asym = core.r3_asymptotic(mu) if kind == "r3" else core.intercept_asymptotic(mu, r)
+                records.append(_asymptote(T, mu, r, asym))
     return records, failed
 
 

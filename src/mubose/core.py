@@ -281,19 +281,29 @@ def _bose(alpha: float) -> float:
         return math.exp(-alpha)
 
 
+def _pow(b: float, r: int) -> float:
+    """b**r, inf where it overflows the double range."""
+    try:
+        return b**r
+    except OverflowError:
+        return math.inf
+
+
 def _exact(kind: str, alphas: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The mu = 0 (Bose-Einstein) value and bound of a mean, moment or intercept.
 
     Results in or below the subnormal range are rounded to a grid of
     spacing ``_TINY``, so each bound adds that absolute error, times
-    (r+1)! for the r! / (e^alpha - 1)^r of a moment.
+    (r+1)! for the r! / (e^alpha - 1)^r of a moment.  A value beyond the
+    double range is inf, which :func:`_curve` fails with a DomainError.
     """
     if kind == "intercept":
         return np.full(alphas.size, float(math.factorial(r) - 1)), np.zeros(alphas.size)
     base = _libm(_bose, alphas)
     if kind == "mean":
         return base, 4.0 * DBL_EPS * base + _TINY
-    value = float(math.factorial(r)) * _libm(lambda b: b**r, base)
+    with np.errstate(over="ignore"):
+        value = float(math.factorial(r)) * _libm(functools.partial(_pow, r=r), base)
     err = 4.0 * (r + 1) * DBL_EPS * value + math.factorial(r + 1) * _TINY
     return value, err
 
@@ -303,9 +313,10 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
     """The results at every alpha of a curve at fixed (mu, r, tol, method).
 
     ``kind`` is ``"mean"`` (<a+ a>; ``r`` is not used), ``"moment"``
-    (:func:`r_moment`), ``"series"`` (:func:`oracle_moment`) or
-    ``"intercept"`` (:func:`intercept`).  Each kernel sums all of its
-    points in one call.  An intercept's mean and moment take the series
+    (:func:`r_moment`), ``"series"`` (:func:`oracle_moment`),
+    ``"intercept"`` (:func:`intercept`) or ``"r3"`` (:func:`r3_function`,
+    through :func:`_r3_curve`; ``r`` is not used).  Each kernel sums all
+    of its points in one call.  An intercept's mean and moment take the series
     route rated at order r, and its method tag is the larger of theirs.
     An invalid mu raises.  Every other failure is kept in the slot of its
     point, in the precedence of a one-point call: an invalid alpha, then
@@ -313,6 +324,8 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
     the point's DomainError (a forced closed series that cannot be formed)
     or ConvergenceError.  Every mu > 0 has a value on both routes.
     """
+    if kind == "r3":
+        return _r3_curve(d, alphas, tol, method)
     mu = _as_mu(d)
     a = np.asarray(alphas, dtype=float)
     curve = _Curve.empty(a.size)
@@ -330,7 +343,11 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
             curve.fail(i, exc)
         return curve
     if route is None:
-        curve.put(todo, *_exact(kind, a[todo], r), _METHODS.index(CLOSED_FORM))
+        value, err = _exact(kind, a[todo], r)
+        curve.put(todo, value, err, _METHODS.index(CLOSED_FORM))
+        for i in todo[np.isinf(value)].tolist():
+            curve.fail(i, DomainError(f"the mu = 0 {kind} at alpha={alphas[i]} lies "
+                                      "beyond the double range"))
         return curve
     order = 1 if kind == "mean" else r
     series = functools.partial(_series_closed, mu, order, tol, route)
@@ -492,18 +509,17 @@ def _r3_error(l2: float, e2: float, l3: float, e3: float) -> DomainError:
 
 def _r3_curve(d: DeformationMu | float, alphas: Sequence[float], tol: float,
               method: str = "auto") -> _Curve:
-    """:func:`r3_function` at every alpha, failures in their slots as in :func:`_curve`."""
+    """:func:`r3_function` at every alpha, failures in their slots as in :func:`_curve`
+    (where lambda2 and lambda3 both fail, lambda2's)."""
     sub_tol = tol / 16.0
     out = _curve("intercept", d, alphas, 2, sub_tol, method)
-    todo = np.flatnonzero(out.method != _FAILED)
-    lam3 = _curve("intercept", d, np.asarray(alphas, dtype=float)[todo], 3, sub_tol, method)
-    for j, exc in lam3.failures.items():
-        out.fail(int(todo[j]), exc)
-    ok = lam3.method != _FAILED
-    idx = todo[ok]
+    lam3 = _curve("intercept", d, alphas, 3, sub_tol, method)
+    for j in lam3.failures.keys() - out.failures.keys():
+        out.fail(j, lam3.failures[j])
+    idx = np.flatnonzero(out.method != _FAILED)
     l2, e2 = out.value[idx], out.error_bound[idx]
-    l3, e3 = lam3.value[ok], lam3.error_bound[ok]
-    merged = np.maximum(out.method[idx], lam3.method[ok])
+    l3, e3 = lam3.value[idx], lam3.error_bound[idx]
+    merged = np.maximum(out.method[idx], lam3.method[idx])
     pow15, pow25 = np.full(l2.size, np.nan), np.full(l2.size, np.nan)
     positive = l2 > 0.0
     pow15[positive] = _libm(lambda x: x**1.5, l2[positive])

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._types import DeformationMu, _as_mu
 from .errors import (
@@ -27,24 +26,12 @@ from .errors import (
     _check_order,
 )
 from .partfrac import a_coeffs
-from .special import StirlingTable, stirling2
+from .special import _g_row
 
 #: absolute tail budget of the brute-force coefficient oracle
 ORACLE_TAIL_TOL = 1e-12
 
 DEFAULT_ORACLE_TERMS = 20000
-
-
-@lru_cache(maxsize=8)
-def _table(max_n: int) -> StirlingTable:
-    return StirlingTable(max_n)
-
-
-def _stirling(n: int, k: int) -> int:
-    size = 64
-    while size < n:
-        size *= 2
-    return stirling2(n, k, _table(size))
 
 
 @dataclass(frozen=True)
@@ -93,14 +80,15 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
 
     with S the Stirling numbers of the second kind.  The integer
     coefficient sets are exposed on the result for exact-arithmetic
-    checks.
+    checks; ``recip_coeffs`` are +-g_s^(j-1) / j, from the rows of :func:`special.g_coeff`.
+    From s = 171 the last of them, +-s!, is no double, and none is built.
     """
     _check_sl(s, l)
     _check_alpha(alpha)
+    if s > 170:
+        raise DomainError(f"c_{s}({l}) at alpha={alpha} has terms beyond the double range")
     sign = -1 if s % 2 else 1
-    recip = tuple(
-        sign * math.factorial(j - 1) * _stirling(s + 1, j) for j in range(1, s + 2)
-    )
+    recip = tuple(sign * (g // j) for j, g in enumerate(_g_row(s), start=1))
     weights = tuple(j**s for j in range(1, l + 1))
 
     try:
@@ -158,7 +146,9 @@ def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
     + mu^(-r) sum_{s=0}^{order} sum_{l<r} A^(r)_l(mu) c_s(l) mu^s,
     the Taylor expansion of sum_n e^(-alpha n) prod_{l<r} phi(n-l).
     The (1 - e^(-alpha)) thermal normalization is deliberately not
-    applied here; the exact moments live in :mod:`mubose.core`.
+    applied here; the exact moments live in :mod:`mubose.core`.  A
+    truncation with a term or a sum beyond the double range raises
+    DomainError.
     """
     mu = _as_mu(d)
     _check_mu_positive(mu)
@@ -167,12 +157,18 @@ def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
     if not isinstance(order, int) or order < 0:
         raise DomainError(f"truncation order must be an integer >= 0, got {order}")
     weights = a_coeffs(r, mu).values
-    total = mu ** (-r) / (-math.expm1(-alpha))
-    for s in range(order + 1):
-        inner = 0.0
-        for l in range(r):
-            inner += weights[l] * c_coeff(s, l, alpha).value
-        total += mu ** (s - r) * inner
+    try:
+        total = mu ** (-r) / (-math.expm1(-alpha))
+        for s in range(order + 1):
+            inner = 0.0
+            for l in range(r):
+                inner += weights[l] * c_coeff(s, l, alpha).value
+            total += mu ** (s - r) * inner
+    except OverflowError:
+        total = math.nan
+    if not math.isfinite(total):
+        raise DomainError(f"the order-{order} truncation at mu={mu}, alpha={alpha}, r={r} "
+                          "has terms beyond the double range")
     return total
 
 

@@ -127,32 +127,44 @@ def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult
     [r]! (1-pz)^r (1-qz)^r / ((1-z)^(r-1) prod_{j=0}^{r} (1 - p^j q^(r-j) z)) - 1,
     algebraically identical to the moment ratio but free of the z^r
     underflow at large alpha.  Every factor 1 - c z is formed by
-    :func:`_one_minus`.  With u the double unit roundoff, each factor
-    then carries a relative error of at most 7u (log, product and
-    difference 5u, expm1 2u), the factorial 2r(r+1)u, and the
-    4r + 1 products and one quotient one u each; the bound sums them
-    to first order, K = 2r^2 + 29r + 6, as |ratio| K u / (1 - K u),
+    :func:`_one_minus`.  The ratio is [r]! times 2r quotients of one
+    numerator factor by one denominator factor, so no intermediate
+    underflows at small alpha, where the factors with c = 1 fall like
+    alpha: the r quotients by 1 - p^r z and 1 - p^j q^(r-j) z (j < r) are
+    at most 1 and come first; the r - 1 quotients (1-pz)/(1-z), at least 1,
+    come last.  At p = q = 1 every quotient is exactly 1.
+
+    With u the double unit roundoff, each factor carries a relative
+    error of at most 7u (log, product and difference 5u, expm1 2u), and
+    1 - z, whose exponent -alpha is exact, 2u; the factorial carries
+    2r(r+1)u, and the 2r quotients and 2r products one u each.  The bound
+    sums them to first order, K = 2r^2 + 29r + 5, as |ratio| K u / (1 - K u),
     plus the rounding of the final subtraction.
+
+    Raises
+    ------
+    DomainError
+        Where the ratio, which grows like alpha^-(r-1) as alpha -> 0, or
+        one quotient (1-pz)/(1-z) at a subnormal alpha, exceeds the double
+        range.
     """
     _check_alpha(alpha)
     _check_order(r, minimum=2)
     log_p, log_q = math.log(pq.p), math.log(pq.q)
-    num = pq_factorial(r, pq)
     pz = _one_minus(log_p, alpha)
     qz = _one_minus(log_q, alpha)
-    for _ in range(r):
-        num *= pz
-        num *= qz
-    den = 1.0
+    ratio = pq_factorial(r, pq) * (pz / _one_minus(r * log_p, alpha))
+    for j in range(r):
+        ratio *= qz / _one_minus(j * log_p + (r - j) * log_q, alpha)
     gap = _one_minus(0.0, alpha)
     for _ in range(r - 1):
-        den *= gap
-    for j in range(r + 1):
-        den *= _one_minus(j * log_p + (r - j) * log_q, alpha)
-    ratio = num / den
+        ratio *= pz / gap
+    if not math.isfinite(ratio):
+        raise DomainError(f"lambda^({r}) of the p,q gas at p={pq.p}, q={pq.q}, "
+                          f"alpha={alpha} lies beyond the double range")
     value = ratio - 1.0
     unit = DBL_EPS / 2.0
-    k = (2 * r * r + 29 * r + 6) * unit
+    k = (2 * r * r + 29 * r + 5) * unit
     return CorrelationResult(value, abs(ratio) * k / (1.0 - k) + unit * abs(value),
                              CLOSED_FORM)
 
@@ -173,14 +185,19 @@ def mu_vs_pq_asymptotic_gap(d: DeformationMu | float, r: int) -> float:
 
     The mu-gas asymptote carries an extra (1+mu)^r relative to the
     p,q-gas pattern [r]! - 1; the returned ratio is checked against
-    (1+mu)^r before being handed back.
+    (1+mu)^r before being handed back.  Where (1+mu)^r exceeds the double
+    range, and only there, [r]_mu! can underflow to 0; that raises
+    DomainError.
     """
     from .core import intercept_asymptotic, mu_factorial
 
     mu = _as_mu(d)
     _check_order(r, minimum=2)
+    try:
+        expected = (1.0 + mu) ** r
+    except OverflowError:
+        raise DomainError(f"(1+mu)^r at mu={mu}, r={r} lies beyond the double range") from None
     ratio = (intercept_asymptotic(mu, r) + 1.0) / mu_factorial(r, mu)
-    expected = (1.0 + mu) ** r
     if abs(ratio - expected) > _GAP_TOL * expected:
         raise RuntimeError(
             f"asymptotic gap {ratio!r} deviates from (1+mu)^r = {expected!r}"

@@ -2,14 +2,14 @@
 
 Only the slice actually needed downstream is implemented: the Lerch
 transcendent at second argument 1, Stirling numbers of the second kind,
-and the derived integer coefficients that drive the expansion module.
+and the derived integer coefficients g that drive the expansion module.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import EXPANSION_REACH, MAX_TERMS, DomainError, _check_tol, _converged
 
@@ -109,8 +109,8 @@ def stirling2(n: int, k: int, table: StirlingTable | None = None) -> int:
     """
     if table is None:
         table = _DEFAULT_TABLE
-    if n < 0 or k < 0:
-        raise DomainError(f"stirling2 requires n, k >= 0, got n={n}, k={k}")
+    if not (isinstance(n, int) and isinstance(k, int) and n >= 0 and k >= 0):
+        raise DomainError(f"stirling2 requires integers n, k >= 0, got n={n}, k={k}")
     if n > table.max_n:
         raise DomainError(
             f"n={n} exceeds the table bound {table.max_n}; "
@@ -121,17 +121,20 @@ def stirling2(n: int, k: int, table: StirlingTable | None = None) -> int:
     return table.rows[n][k]
 
 
-@lru_cache(maxsize=None)
+#: rows 0, 1, ... of g, extended by :func:`_g_row` under ``_G_LOCK``
+_G_ROWS: list[tuple[int, ...]] = [(1,)]
+_G_LOCK = threading.Lock()
+
+
 def _g_row(s: int) -> tuple[int, ...]:
-    if s == 0:
-        return (1,)
-    prev = _g_row(s - 1)
-    row = []
-    for j in range(s + 1):
-        left = prev[j] if j < s else 0
-        diag = prev[j - 1] if j >= 1 else 0
-        row.append((j + 1) * (left + diag))
-    return tuple(row)
+    """Row s of g, with the rows below it built in a loop and kept."""
+    if s >= len(_G_ROWS):
+        with _G_LOCK:
+            while len(_G_ROWS) <= s:
+                prev = _G_ROWS[-1]
+                _G_ROWS.append(tuple((j + 1) * (left + diag) for j, (left, diag)
+                                     in enumerate(zip(prev + (0,), (0,) + prev))))
+    return _G_ROWS[s]
 
 
 def g_coeff(s: int, j: int) -> int:
@@ -139,8 +142,10 @@ def g_coeff(s: int, j: int) -> int:
 
     Satisfies g_s^j = (j+1)! {s+1, j+1}; the table recurrence here is
     kept independent of :func:`stirling2` so the identity stays a real
-    cross-check.
+    cross-check.  The rows are built in a loop and kept, so any s is
+    reachable from a cold cache; :func:`mubose.expansion.c_coeff` reads
+    its integers (j-1)! {s+1, j} = g_s^(j-1) / j from the same rows.
     """
-    if s < 0 or j < 0 or j > s:
-        raise DomainError(f"g_coeff requires 0 <= j <= s, got s={s}, j={j}")
+    if not (isinstance(s, int) and isinstance(j, int) and 0 <= j <= s):
+        raise DomainError(f"g_coeff requires integers 0 <= j <= s, got s={s}, j={j}")
     return _g_row(s)[j]

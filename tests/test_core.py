@@ -139,6 +139,30 @@ class TestBoseBeyondDoubleRange:
         assert abs(res.value - _bose_moment(alpha, r)) <= res.error_bound
 
 
+class TestBoseBeyondDoubleRangeSmallAlpha:
+    """mu = 0 where the value itself exceeds the double range: one DomainError rule."""
+
+    def test_mean(self):
+        with pytest.raises(DomainError, match="beyond the double range"):
+            mean_occupation(0.0, 5e-324)
+
+    @pytest.mark.parametrize("alpha, r", [(1e-200, 2), (1e-154, 2), (1e-110, 3)])
+    def test_moment(self, alpha, r):
+        with pytest.raises(DomainError, match="beyond the double range"):
+            r_moment(0.0, alpha, r)
+
+    def test_largest_values_stay(self):
+        # 2 / alpha^2 at alpha = 1e-150 and 1 / alpha at 1e-300 are still doubles
+        _assert_within_bound(r_moment(0.0, 1e-150, 2), _bose_moment(1e-150, 2))
+        _assert_within_bound(mean_occupation(0.0, 1e-300), _bose_moment(1e-300, 1))
+
+    def test_failures_keep_their_slots(self):
+        curve = core._curve("moment", 0.0, [1.0, 1e-200, math.nan], 2, 1e-12)
+        assert sorted(curve.failures) == [1, 2]
+        assert "beyond the double range" in str(curve.failures[1])
+        assert curve.value[0] == r_moment(0.0, 1.0, 2).value
+
+
 def _direct_moment(mu, alpha, r):
     """(1-z) sum_{n>=r} z^n prod_{l<r} phi(n-l), the defining series, at 60 digits.
 
@@ -679,6 +703,22 @@ class TestCurveSlots:
         curve = core._curve(kind, mu, self.SMALL_ALPHAS, r, 1e-12, method)
         self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
                            self.SMALL_ALPHAS)
+
+    def test_r3_slot_keeps_the_lambda2_failure(self, monkeypatch):
+        # at alpha = 0.8 both intercepts fail within 40 terms, lambda2 on its
+        # r = 2 moment and lambda3 on its r = 3 moment
+        monkeypatch.setattr(core, "MAX_TERMS", 40)
+        alphas = [0.8, 8.4]
+        lam2 = core._curve("intercept", 0.1, alphas, 2, 1e-12 / 16)
+        lam3 = core._curve("intercept", 0.1, alphas, 3, 1e-12 / 16)
+        assert str(lam2.failures[0]) != str(lam3.failures[0])
+        curve = core._r3_curve(0.1, alphas, 1e-12)
+        assert str(curve.failures[0]) == str(lam2.failures[0])
+        self._assert_slots(curve, lambda a: r3_function(0.1, a, 1e-12), alphas)
+
+    def test_r3_kind(self):
+        curve = core._curve("r3", 0.2, self.ALPHAS, 3, 1e-12, "oracle")
+        self._assert_slots(curve, lambda a: r3_function(0.2, a, 1e-12, "oracle"), self.ALPHAS)
 
     def test_convergence_failures_keep_their_slots(self, monkeypatch):
         # with a budget of 40 terms the small alphas fail and the large converge

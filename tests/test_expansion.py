@@ -14,7 +14,9 @@ from mubose import (
     taylor_moment,
     turning_point,
 )
+from mubose import expansion
 from mubose.expansion import ORACLE_TAIL_TOL
+from mubose.special import StirlingTable, stirling2
 
 LN2 = math.log(2.0)
 
@@ -94,6 +96,28 @@ class TestCCoefficient:
         with pytest.raises(DomainError, match="double range"):
             c_coeff(200, 3, 1.0)
 
+    def test_beyond_double_range_builds_no_row(self, monkeypatch):
+        # from s = 171 the last integer, s!, is no double: raise before any row
+        requested = []
+        rows = expansion._g_row
+        monkeypatch.setattr(expansion, "_g_row", lambda s: requested.append(s) or rows(s))
+        for s in (171, 5000):
+            with pytest.raises(DomainError, match="beyond the double range"):
+                c_coeff(s, 0, 1.0)
+        assert max(requested, default=-1) <= 171
+        # the recorder does see the rows an order below 171 reads
+        c_coeff(20, 0, 1.0)
+        assert requested == [20]
+
+    def test_integers_match_the_stirling_table(self):
+        # the g-row integers against the independent Stirling recurrence
+        table = StirlingTable(max_n=160)
+        for s in range(160):
+            sign = -1 if s % 2 else 1
+            want = tuple(sign * math.factorial(j - 1) * stirling2(s + 1, j, table)
+                         for j in range(1, s + 2))
+            assert c_coeff(s, 1, 1.0).recip_coeffs == want, s
+
     def test_domain(self):
         with pytest.raises(DomainError):
             c_coeff(-1, 0, 1.0)
@@ -172,6 +196,10 @@ class TestTaylorMoment:
             taylor_moment(0.0, 1.0, 1, 3)
         with pytest.raises(DomainError):
             taylor_moment(0.1, 1.0, 0, 3)
+        # mu^-r overflows; the order-3 terms at alpha = 1e-300 do
+        for mu, alpha, order in ((1e-200, 1.0, 0), (0.5, 1e-300, 3)):
+            with pytest.raises(DomainError, match="beyond the double range"):
+                taylor_moment(mu, alpha, 2, order)
 
 
 class TestDivergence:

@@ -1,6 +1,7 @@
 """p,q-Bose gas moments, intercepts, and the mu-gas comparison factor."""
 
 import math
+import sys
 
 import pytest
 
@@ -159,7 +160,11 @@ class TestInterceptBound:
     def _reference(p, q, alpha, r):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            p, q, z = mp.mpf(p), mp.mpf(q), mp.exp(-mp.mpf(alpha))
+            p, q, alpha = mp.mpf(p), mp.mpf(q), mp.mpf(alpha)
+
+            def one_minus(c):
+                # 1 - c z as -expm1(ln c - alpha): below alpha ~ 1e-40, z rounds to 1
+                return -mp.expm1(mp.log(c) - alpha)
 
             def bracket(n):
                 return sum(p**j * q ** (n - 1 - j) for j in range(n))
@@ -167,22 +172,35 @@ class TestInterceptBound:
             num = mp.mpf(1)
             for n in range(1, r + 1):
                 num *= bracket(n)
-            num *= (1 - p * z) ** r * (1 - q * z) ** r
-            den = (1 - z) ** (r - 1)
+            num *= one_minus(p) ** r * one_minus(q) ** r
+            den = one_minus(1) ** (r - 1)
             for j in range(r + 1):
-                den *= 1 - p**j * q ** (r - j) * z
+                den *= one_minus(p**j * q ** (r - j))
             return num / den - 1
 
-    @pytest.mark.parametrize("p, q", [(0.9, 0.7), (0.95, 0.5), (1.0, 0.8)])
+    @pytest.mark.parametrize("p, q", [(0.9, 0.7), (0.95, 0.5), (1.0, 0.8), (1.0, 1.0),
+                                      (1.0, 0.5)])
     def test_bound_holds(self, p, q):
-        for alpha in (1e-6, 1e-4, 1e-2, 1.0):
+        for alpha in (1e-300, 1e-150, 1e-78, 1e-6, 1e-4, 1e-2, 1.0):
             for r in (2, 3, 5):
+                want = self._reference(p, q, alpha, r)
+                if abs(want) > sys.float_info.max:
+                    # lambda grows like alpha^-(r-1) and leaves the double range
+                    with pytest.raises(DomainError, match="double range"):
+                        pq_intercept_result(PQParams(p, q), alpha, r)
+                    continue
                 res = pq_intercept_result(PQParams(p, q), alpha, r)
                 assert res.value == pq_intercept(PQParams(p, q), alpha, r)
-                err = abs(res.value - float(self._reference(p, q, alpha, r)))
+                err = abs(res.value - float(want))
                 assert err <= res.error_bound, (p, q, alpha, r, err, res.error_bound)
                 # a few hundred roundoffs, not a blanket allowance
                 assert res.error_bound <= 1e-12 * (abs(res.value) + 1.0)
+
+    def test_bose_gas_is_exact_at_small_alpha(self):
+        # p = q = 1 is the Bose gas, lambda^(r) = r! - 1 at every alpha
+        for alpha in (5e-324, 1e-300, 1.3957e-80, 1.0):
+            for r in (2, 3, 5):
+                assert pq_intercept(PQParams(1.0, 1.0), alpha, r) == math.factorial(r) - 1
 
 
 class TestAsymptotic:
@@ -210,5 +228,8 @@ class TestGapFactor:
     def test_domain(self):
         with pytest.raises(DomainError):
             mu_vs_pq_asymptotic_gap(-0.1, 2)
+        # (1+mu)^3 overflows and [3]_mu! underflows to 0
+        with pytest.raises(DomainError, match="beyond the double range"):
+            mu_vs_pq_asymptotic_gap(1e300, 3)
         with pytest.raises(DomainError):
             mu_vs_pq_asymptotic_gap(0.1, 1)

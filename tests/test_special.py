@@ -13,6 +13,7 @@ from mubose import (
     lerch_phi_s1,
     stirling2,
 )
+from mubose import special
 from mubose._backend import kernels
 
 TOL = 1e-12
@@ -115,6 +116,8 @@ class TestStirling:
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
+            stirling2(2.5, 1)
+        with pytest.raises(DomainError):
             stirling2(-1, 0)
         with pytest.raises(DomainError):
             stirling2(3, -2)
@@ -135,7 +138,14 @@ class TestGCoefficients:
             for j in range(s + 1):
                 assert g_coeff(s, j) == math.factorial(j + 1) * stirling2(s + 1, j + 1)
 
+    def test_deep_row_from_a_cold_cache(self, monkeypatch):
+        # the rows are built in a loop: no recursion depth limits s
+        monkeypatch.setattr(special, "_G_ROWS", [(1,)], raising=False)
+        assert g_coeff(600, 1) == 2 * (2**600 - 1)
+
     def test_range_check(self):
+        with pytest.raises(DomainError):
+            g_coeff(2.5, 1)
         with pytest.raises(DomainError):
             g_coeff(2, 3)
         with pytest.raises(DomainError):
