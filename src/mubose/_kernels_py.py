@@ -208,7 +208,8 @@ def _block_tails(n: np.ndarray, s: int, z, zns: np.ndarray, passes) -> np.ndarra
 
 def _curve_sums(value, err, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The long-double sums of a curve rounded to doubles, with their term counts."""
-    return value.astype(np.float64), err.astype(np.float64), terms
+    with np.errstate(over="ignore"):  # a sum beyond the double range rounds to inf
+        return value.astype(np.float64), err.astype(np.float64), terms
 
 
 def _first(sums) -> tuple[float, float, int]:

@@ -26,7 +26,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, CorrelationResult, ThermoPoint
-from .errors import ConvergenceError, DomainError, _check_mu, _check_tol
+from .errors import ConvergenceError, DomainError, _check_int, _check_mu, _check_tol
 
 DEFAULT_MASS = 139.57
 
@@ -38,7 +38,7 @@ TAYLOR_HEADER = ("s", "partial_sum", "term_magnitude")
 
 #: preset -> (quantity, core._curve kind, r, mus): the rows of one figure
 _PRESETS = {
-    "fig1": ("distribution", "mean", 1, (0.0, 0.1, 0.2)),
+    "fig1": ("distribution", "moment", 1, (0.0, 0.1, 0.2)),
     "fig2": ("lambda2", "intercept", 2, (0.1, 0.2)),
     "fig3": ("lambda3", "intercept", 3, (0.1, 0.2)),
     "fig4": ("r3", "r3", 3, (0.1, 0.2)),
@@ -69,8 +69,7 @@ class GridSpec:
             raise DomainError(
                 f"need 0 <= k_min < k_max, got [{self.k_min}, {self.k_max}]"
             )
-        if not isinstance(self.k_steps, int) or self.k_steps < 2:
-            raise DomainError(f"k_steps must be an integer >= 2, got {self.k_steps}")
+        _check_int(self.k_steps, "k_steps", 2)
         if not self.temperatures or any(t <= 0.0 for t in self.temperatures):
             raise DomainError(f"temperatures must be positive, got {self.temperatures}")
         for mu in self.mus:
@@ -178,7 +177,7 @@ def figure_records(preset: str, grid: GridSpec,
             records += map(OutputRecord, repeat(quantity, size), momenta, repeat(T, size),
                            repeat(mu, size), repeat(r, size), curve.value.tolist(),
                            curve.error_bound.tolist(), methods.tolist())
-            if kind != "mean":
+            if kind != "moment":
                 asym = core.r3_asymptotic(mu) if kind == "r3" else core.intercept_asymptotic(mu, r)
                 records.append(_asymptote(T, mu, r, asym))
     return records, failed
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--k-max", type=float, default=1000.0)
     p_fig.add_argument("--k-steps", type=int, default=101)
     p_fig.add_argument("--oracle", action="store_true",
-                       help="evaluate through the series oracle")
+                       help="evaluate every point, mu = 0 included, through the series oracle")
     common(p_fig, point=False)
 
     p_int = sub.add_parser("intercept", help="r-particle intercept at one point")
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--with-oracle", action="store_true",
                        help="also print the oracle value and the difference")
     p_int.add_argument("--oracle", action="store_true",
-                       help="force the series-oracle route")
+                       help="force the series-oracle route, at mu = 0 too")
 
     p_dist = sub.add_parser("distribution", help="mean occupation at one point")
     common(p_dist)
@@ -380,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_r3 = sub.add_parser("r3", help="(lambda3 - 3 lambda2)/(2 lambda2^(3/2))")
     common(p_r3)
     p_r3.add_argument("--oracle", action="store_true",
-                      help="force the series-oracle route")
+                      help="force the series-oracle route, at mu = 0 too")
 
     p_co = sub.add_parser("coeffs", help="partial-fraction coefficients A^(r)_l")
     p_co.add_argument("--order", type=int, required=True, help="product order r")

@@ -88,22 +88,17 @@ def mu_factorial(r: int, mu: float) -> float:
 
 
 def _route(kind: str, mu: float, r: int, tol: float, method: str) -> str | None:
-    """Route of a whole curve: ``auto``, ``closed``, ``oracle``, or None for exact (mu = 0).
+    """Route of a whole curve of any kind: ``auto``, ``closed``, ``oracle``, or None for exact.
 
-    Validates the order, the tolerance and the method, and raises the
-    DomainError that concerns every point.  :func:`oracle_moment` and
-    ``method="oracle"`` take the oracle; a mean takes the closed form.
+    Validates the order (an intercept's is at least 2), the tolerance and
+    the method, and raises the DomainError that concerns every point.
+    mu = 0 is exact unless the method is ``oracle``, which never takes a closed form.
     """
-    if kind == "mean":
-        _check_tol(tol)
-        return None if mu == 0.0 else "closed"
     _check_order(r, minimum=2 if kind == "intercept" else 1)
     _check_tol(tol)
-    if kind == "series":
-        return "oracle"
-    if kind == "intercept" and method not in ("auto", "closed", "oracle"):
+    if method not in ("auto", "closed", "oracle"):
         raise DomainError(f"unknown method {method!r}")
-    return None if mu == 0.0 else method
+    return None if mu == 0.0 and method != "oracle" else method
 
 
 def _series_closed(mu: float, r: int, tol: float, route: str) -> bool:
@@ -163,9 +158,10 @@ class _Curve:
         self.error_bound[idx] = error_bound
         self.method[idx] = method
 
-    def fail(self, i: int, exc: DomainError | ConvergenceError) -> None:
-        self.put(i, np.nan, np.nan, _FAILED)
-        self.failures[i] = exc
+    def fail(self, idx, exc: DomainError | ConvergenceError) -> None:
+        """Fail the slot ``idx``, or every slot of an index array, with ``exc``."""
+        self.put(idx, np.nan, np.nan, _FAILED)
+        self.failures.update(dict.fromkeys(np.atleast_1d(idx).tolist(), exc))
 
 
 def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) -> np.ndarray:
@@ -181,7 +177,9 @@ def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) 
     - oracle: the tail after term r+n-1 is
       (r+n)^r z^(r+n) / (1 - rho) >= (r+n)^r z^(r+n), times g = 1 - z; each
       product of r structure functions is below mu^-r and g sum_n z^n <= 1,
-      so the partial value is below mu^-r (no bound at mu = 0).
+      so the partial value is below mu^-r (no bound at mu = 0); each product
+      at term m is also at most m^r, so the partial value is also at most
+      g (r+n)^(r+1).  The smaller bound is taken.
     - closed form: the tail is K mu^(2-2r) z^(r+n) / ((1+mu(n+1))(1+mu n) g)
       with K = sum_l |Atilde_l|, and g = 1.  The partial value is at most
       mu^(2-2r) sum_m z^m sum_l |Atilde_l| / ((1+mu(m-l))(1+mu(m-l-1))),
@@ -211,7 +209,9 @@ def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) 
         log_size = high + np.minimum(-log_g, math.log1p(1.0 / mu))
     else:
         log_tail = log_g + r * math.log(r + n) - a * (r + n)
-        log_size = -r * math.log(mu) if mu > 0.0 else math.inf
+        log_size = log_g + (r + 1) * math.log(r + n)
+        if mu > 0.0:
+            log_size = np.minimum(log_size, -r * math.log(mu))
     return log_tail > math.log(2.0) + np.maximum(math.log(_TINY), math.log(rtol) + log_size)
 
 
@@ -242,7 +242,9 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
     converged = np.ones(a.size, dtype=bool)
     rest = np.arange(a.size)
     if route != "oracle":
-        near = np.flatnonzero(a * (1.0 / mu + r) <= EXPANSION_REACH)
+        # at a huge alpha and a tiny mu the product overflows to inf, out of reach
+        with np.errstate(over="ignore"):
+            near = np.flatnonzero(a * (1.0 / mu + r) <= EXPANSION_REACH)
         if near.size:
             v, e, _ = kernels.closed_moment_expansion(mu, a[near], r)
             ok = e <= np.maximum(_TINY, (rtol + DBL_EPS) * np.abs(v))
@@ -253,8 +255,7 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
     try:
         closed = series()
     except DomainError as exc:
-        for i in rest.tolist():
-            curve.fail(int(todo[i]), exc)
+        curve.fail(todo[rest], exc)
         converged[rest] = False
         return value, err + _TINY, code, converged
     if closed:
@@ -290,17 +291,18 @@ def _pow(b: float, r: int) -> float:
 
 
 def _exact(kind: str, alphas: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mu = 0 (Bose-Einstein) value and bound of a mean, moment or intercept.
+    """The mu = 0 (Bose-Einstein) value and bound of a moment or intercept.
 
-    Results in or below the subnormal range are rounded to a grid of
-    spacing ``_TINY``, so each bound adds that absolute error, times
-    (r+1)! for the r! / (e^alpha - 1)^r of a moment.  A value beyond the
-    double range is inf, which :func:`_curve` fails with a DomainError.
+    The mean (r = 1) is 1/(e^alpha - 1) to 4 EPS.  Results in or below
+    the subnormal range are rounded to a grid of spacing ``_TINY``, so
+    each bound adds that absolute error, times (r+1)! for the
+    r! / (e^alpha - 1)^r of a higher moment.  A value beyond the double
+    range is inf, which :func:`_curve` fails with a DomainError.
     """
     if kind == "intercept":
         return np.full(alphas.size, float(math.factorial(r) - 1)), np.zeros(alphas.size)
     base = _libm(_bose, alphas)
-    if kind == "mean":
+    if r == 1:
         return base, 4.0 * DBL_EPS * base + _TINY
     with np.errstate(over="ignore"):
         value = float(math.factorial(r)) * _libm(functools.partial(_pow, r=r), base)
@@ -310,19 +312,18 @@ def _exact(kind: str, alphas: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarra
 
 def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
            tol: float, method: str = "auto") -> _Curve:
-    """The results at every alpha of a curve at fixed (mu, r, tol, method).
+    """The results at every alpha of a curve at fixed (mu, r, tol, method), routed by _route.
 
-    ``kind`` is ``"mean"`` (<a+ a>; ``r`` is not used), ``"moment"``
-    (:func:`r_moment`), ``"series"`` (:func:`oracle_moment`),
-    ``"intercept"`` (:func:`intercept`) or ``"r3"`` (:func:`r3_function`,
-    through :func:`_r3_curve`; ``r`` is not used).  Each kernel sums all
-    of its points in one call.  An intercept's mean and moment take the series
-    route rated at order r, and its method tag is the larger of theirs.
-    An invalid mu raises.  Every other failure is kept in the slot of its
-    point, in the precedence of a one-point call: an invalid alpha, then
-    the route's DomainError (an invalid order, tolerance or method), then
-    the point's DomainError (a forced closed series that cannot be formed)
-    or ConvergenceError.  Every mu > 0 has a value on both routes.
+    ``kind`` is ``"moment"`` (:func:`r_moment`; the mean at r = 1),
+    ``"intercept"`` or ``"r3"`` (:func:`r3_function`, through :func:`_r3_curve`;
+    ``r`` is not used).  Each kernel sums all of its points in one call.
+    An intercept's mean and moment take the series route rated at order r,
+    and its method tag is the larger of theirs.  An invalid mu raises.
+    Every other failure is kept in the slot of its point, in the precedence
+    of a one-point call: an invalid alpha, the route's DomainError (order,
+    tolerance or method), the point's DomainError (a forced closed series
+    that cannot be formed) or ConvergenceError, and last a DomainError
+    where a moment, or an intercept's mean^r, lies beyond the double range.
     """
     if kind == "r3":
         return _r3_curve(d, alphas, tol, method)
@@ -339,46 +340,43 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
     try:
         route = _route(kind, mu, r, tol, method)
     except DomainError as exc:
-        for i in todo.tolist():
-            curve.fail(i, exc)
+        curve.fail(todo, exc)
         return curve
+    series = functools.partial(_series_closed, mu, r, tol, route)
     if route is None:
         value, err = _exact(kind, a[todo], r)
-        curve.put(todo, value, err, _METHODS.index(CLOSED_FORM))
-        for i in todo[np.isinf(value)].tolist():
-            curve.fail(i, DomainError(f"the mu = 0 {kind} at alpha={alphas[i]} lies "
-                                      "beyond the double range"))
-        return curve
-    order = 1 if kind == "mean" else r
-    series = functools.partial(_series_closed, mu, order, tol, route)
-    if kind != "intercept":
-        value, err, tag, ok = _sums(mu, a, todo, order, tol, route, series, curve)
-        curve.put(todo[ok], value[ok], err[ok], tag[ok])
-        return curve
-
-    part_tol = tol / (2.0 * (r + 1))
-    mean, mean_err, tag, ok = _sums(mu, a, todo, 1, part_tol, route, series, curve)
-    todo, mean, mean_err, tag = todo[ok], mean[ok], mean_err[ok], tag[ok]
-    under = mean <= 0.0
-    rest = ~under
-    under[rest] = r * _libm(math.log, mean[rest]) < math.log(UNDERFLOW_FLOOR)
-    if under.any():
-        value = intercept_asymptotic(mu, r)
-        err = ((value + 1.0) * (r * r + r) * np.maximum(mean[under], 0.0)
-               + 8.0 * DBL_EPS * (abs(value) + 1.0))
-        curve.put(todo[under], value, err, _METHODS.index(ASYMPTOTIC))
-        log.info("intercept(mu=%g, r=%d): occupation underflow at %d of %d alphas, "
-                 "returning the asymptotic value", mu, r, under.sum(), a.size)
-        todo, mean, mean_err, tag = todo[~under], mean[~under], mean_err[~under], tag[~under]
-    mom, mom_err, mom_tag, ok = _sums(mu, a, todo, r, part_tol, route, series, curve)
-    mean, mean_err, mom, mom_err = mean[ok], mean_err[ok], mom[ok], mom_err[ok]
-    tag = np.maximum(tag[ok], mom_tag[ok])
-    ratio = mom / _libm(lambda m: m**r, mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = ratio * (mom_err / mom + r * mean_err / mean) + 8.0 * DBL_EPS * ratio
-    # a moment that cancels to 0 (a forced closed form at tiny mu) has no relative bound
-    err[mom == 0.0] = np.inf
-    curve.put(todo[ok], ratio - 1.0, err, tag)
+        tag, finite = np.full(todo.size, _METHODS.index(CLOSED_FORM), np.int8), np.isfinite(value)
+    elif kind == "moment":
+        value, err, tag, ok = _sums(mu, a, todo, r, tol, route, series, curve)
+        todo, value, err, tag = todo[ok], value[ok], err[ok], tag[ok]
+        finite = np.isfinite(value)
+    else:
+        part_tol = tol / (2.0 * (r + 1))
+        mean, mean_err, tag, ok = _sums(mu, a, todo, 1, part_tol, route, series, curve)
+        todo, mean, mean_err, tag = todo[ok], mean[ok], mean_err[ok], tag[ok]
+        under = mean < UNDERFLOW_FLOOR ** (1.0 / r)
+        if under.any():
+            value = intercept_asymptotic(mu, r)
+            err = ((value + 1.0) * (r * r + r) * np.maximum(mean[under], 0.0)
+                   + 8.0 * DBL_EPS * (abs(value) + 1.0))
+            curve.put(todo[under], value, err, _METHODS.index(ASYMPTOTIC))
+            log.info("intercept(mu=%g, r=%d): occupation underflow at %d of %d alphas, "
+                     "returning the asymptotic value", mu, r, under.sum(), a.size)
+            todo, mean, mean_err, tag = todo[~under], mean[~under], mean_err[~under], tag[~under]
+        mom, mom_err, mom_tag, ok = _sums(mu, a, todo, r, part_tol, route, series, curve)
+        todo, mean, mean_err, mom, mom_err = todo[ok], mean[ok], mean_err[ok], mom[ok], mom_err[ok]
+        tag = np.maximum(tag[ok], mom_tag[ok])
+        mean_r = _libm(functools.partial(_pow, r=r), mean)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = mom / mean_r
+            err = ratio * (mom_err / mom + r * mean_err / mean) + 8.0 * DBL_EPS * ratio
+        # a moment that cancels to 0 (a forced closed form at tiny mu) has no relative bound
+        err[mom == 0.0] = np.inf
+        value, finite = ratio - 1.0, np.isfinite(mom) & np.isfinite(mean_r)
+    curve.put(todo[finite], value[finite], err[finite], tag[finite])
+    for i in todo[~finite].tolist():
+        curve.fail(i, DomainError(f"the {kind} at mu={mu}, alpha={alphas[i]}, r={r} lies "
+                                  "beyond the double range"))
     return curve
 
 
@@ -392,13 +390,14 @@ def _point(curve: _Curve) -> CorrelationResult:
 
 def mean_occupation(d: DeformationMu | float, alpha: float,
                     tol: float = DEFAULT_TOL) -> CorrelationResult:
-    """Average occupation <a+ a> of one mode.
+    """Average occupation <a+ a> of one mode, the r = 1 moment of :func:`r_moment`.
 
     mu = 0 reduces to the Bose-Einstein value 1/(e^alpha - 1); mu > 0 is
     the Lerch closed form mu^-1 - mu^-2 (1 - e^-alpha) Phi(e^-alpha, 1, 1/mu),
-    evaluated through its cancellation-free rearrangement.
+    evaluated through its cancellation-free rearrangement, whose series
+    ``auto`` takes for every tol above about 1.7e-18.
     """
-    return _point(_curve("mean", d, (alpha,), 1, tol))
+    return _point(_curve("moment", d, (alpha,), 1, tol))
 
 
 def r_moment(d: DeformationMu | float, alpha: float, r: int,
@@ -417,8 +416,8 @@ def r_moment(d: DeformationMu | float, alpha: float, r: int,
 
 def oracle_moment(d: DeformationMu | float, alpha: float, r: int,
                   tol: float = DEFAULT_TOL) -> CorrelationResult:
-    """Brute-force r-th moment (1-z) sum_n z^n prod_{l<r} phi(n-l)."""
-    return _point(_curve("series", d, (alpha,), r, tol))
+    """Brute-force r-th moment (1-z) sum_n z^n prod_{l<r} phi(n-l), mu = 0 included."""
+    return _point(_curve("moment", d, (alpha,), r, tol, "oracle"))
 
 
 def intercept_asymptotic(d: DeformationMu | float, r: int) -> float:
@@ -455,7 +454,8 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
 
     Notes
     -----
-    mu = 0 returns exactly r! - 1.  When the occupation has decayed so
+    mu = 0 returns exactly r! - 1 unless ``method="oracle"``, which sums
+    the series there too.  When the occupation has decayed so
     far that moment and mean^r would both underflow (mean^r below
     ``UNDERFLOW_FLOOR``) the asymptotic value is returned with method
     tag ``asymptotic``.

@@ -37,9 +37,14 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
 
 
+def _check_int(value: int, what: str, minimum: int) -> None:
+    """Raise DomainError unless ``value`` is an int of at least ``minimum``; bool is no int here."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_order(r: int, minimum: int = 1) -> None:
-    if not isinstance(r, int) or r < minimum:
-        raise DomainError(f"order must be an integer >= {minimum}, got {r}")
+    _check_int(r, "order", minimum)
     if r > MAX_ORDER:
         raise DomainError(f"order {r} exceeds the supported bound {MAX_ORDER}")
 

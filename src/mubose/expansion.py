@@ -22,6 +22,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     _check_alpha,
+    _check_int,
     _check_mu_positive,
     _check_order,
 )
@@ -65,13 +66,6 @@ class CCoefficient:
         return acc
 
 
-def _check_sl(s: int, l: int) -> None:
-    if not isinstance(s, int) or s < 0:
-        raise DomainError(f"power index s must be an integer >= 0, got {s}")
-    if not isinstance(l, int) or l < 0:
-        raise DomainError(f"shift l must be an integer >= 0, got {l}")
-
-
 def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     """Closed-form Taylor coefficient c_s(l).
 
@@ -83,7 +77,8 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     checks; ``recip_coeffs`` are +-g_s^(j-1) / j, from the rows of :func:`special.g_coeff`.
     From s = 171 the last of them, +-s!, is no double, and none is built.
     """
-    _check_sl(s, l)
+    _check_int(s, "power index s", 0)
+    _check_int(l, "shift l", 0)
     _check_alpha(alpha)
     if s > 170:
         raise DomainError(f"c_{s}({l}) at alpha={alpha} has terms beyond the double range")
@@ -124,10 +119,10 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     """
     from ._backend import kernels
 
-    _check_sl(s, l)
+    _check_int(s, "power index s", 0)
+    _check_int(l, "shift l", 0)
     _check_alpha(alpha)
-    if not isinstance(n_max, int) or n_max <= l:
-        raise DomainError(f"n_max must be an integer > l, got {n_max}")
+    _check_int(n_max, "n_max", l + 1)
     acc, tail = kernels.power_sum(s, l, alpha, n_max, ORACLE_TAIL_TOL)
     if not (tail < ORACLE_TAIL_TOL):
         raise ConvergenceError(
@@ -154,8 +149,7 @@ def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
     _check_mu_positive(mu)
     _check_alpha(alpha)
     _check_order(r)
-    if not isinstance(order, int) or order < 0:
-        raise DomainError(f"truncation order must be an integer >= 0, got {order}")
+    _check_int(order, "truncation order", 0)
     weights = a_coeffs(r, mu).values
     try:
         total = mu ** (-r) / (-math.expm1(-alpha))
@@ -195,8 +189,7 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
     _check_mu_positive(mu)
     _check_alpha(alpha)
     _check_order(r)
-    if not isinstance(s_max, int) or s_max < 0:
-        raise DomainError(f"s_max must be an integer >= 0, got {s_max}")
+    _check_int(s_max, "s_max", 0)
     weights = a_coeffs(r, mu).values
     entries: list[DivergenceEntry] = []
     partial = 0.0

@@ -19,6 +19,7 @@ from .errors import (
     MAX_TERMS,
     DomainError,
     _check_alpha,
+    _check_int,
     _check_order,
     _check_tol,
     _converged,
@@ -53,18 +54,13 @@ def pq_bracket(n: int, pq: PQParams) -> float:
     """Basic p,q-number [n] = (p^n - q^n)/(p - q), with [n] = n p^(n-1) at p = q.
 
     Evaluated as the equivalent homogeneous sum sum_{j=0}^{n-1} p^j q^(n-1-j),
-    which has no p - q cancellation and covers both cases at once.
+    which has no p - q cancellation and covers both cases at once, by
+    Horner's rule in q, which never divides by q.
     """
-    if not isinstance(n, int) or n < 0:
-        raise DomainError(f"bracket index must be an integer >= 0, got {n}")
+    _check_int(n, "bracket index", 0)
     acc = 0.0
-    pj = 1.0
-    qj = pq.q ** (n - 1) if n > 0 else 1.0
-    inv_q = 1.0 / pq.q
-    for _ in range(n):
-        acc += pj * qj
-        pj *= pq.p
-        qj *= inv_q
+    for j in range(n):
+        acc = acc * pq.q + pq.p**j
     return acc
 
 

@@ -11,7 +11,15 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .errors import EXPANSION_REACH, MAX_TERMS, DomainError, _check_tol, _converged
+from .errors import (
+    EXPANSION_REACH,
+    MAX_TERMS,
+    DomainError,
+    _check_int,
+    _check_tol,
+    _convergence_error,
+    _converged,
+)
 
 
 @dataclass(frozen=True)
@@ -47,21 +55,29 @@ def lerch_phi_s1(query: LerchQuery, max_terms: int = MAX_TERMS) -> float:
     taken from its z -> 1 expansion (``kernels.lerch_expansion``), whose
     cost does not grow as z -> 1, if that expansion's error bound is
     within ``query.tol``.  Otherwise it is summed directly: the tail after
-    N terms is bounded by z^(N+1) / ((a + N + 1)(1 - z)), and summation
-    stops once that bound drops below ``query.tol``.
+    N terms is bounded by z^N / ((a + N)(1 - z)), and summation stops once
+    that bound drops below ``query.tol``.  The bound falls with N, so where
+    it exceeds twice ``query.tol`` at N = ``max_terms`` (the factor 2
+    absorbs rounding) no sum within the budget can stop, and none is summed.
 
     Raises
     ------
+    DomainError
+        If ``max_terms`` is not an integer >= 1.
     ConvergenceError
         If the direct sum's bound cannot reach the tolerance within ``max_terms``.
     """
     from ._backend import kernels
 
+    _check_int(max_terms, "max_terms", 1)
     z, a, tol = query.z, query.a, query.tol
     if z > 0.0 and -math.log(z) * max(a, 1.0) <= EXPANSION_REACH:
         value, err, _ = kernels.lerch_expansion(z, a)
         if err <= tol:
             return value
+    if z > 0.0 and (max_terms * math.log(z) - math.log(a + max_terms) - math.log1p(-z)
+                    > math.log(2.0 * tol)):
+        raise _convergence_error(max_terms, "lerch sum", z=z, a=a, tol=tol)
     value, _err = _converged(kernels.lerch_sum(z, a, tol, max_terms),
                              max_terms, "lerch sum", z=z, a=a, tol=tol)
     return value
@@ -92,8 +108,7 @@ class StirlingTable:
     rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_n, int) or self.max_n < 1:
-            raise DomainError(f"table bound must be a positive integer, got {self.max_n}")
+        _check_int(self.max_n, "table bound", 1)
         object.__setattr__(self, "rows", _build_rows(self.max_n))
 
 
@@ -109,8 +124,8 @@ def stirling2(n: int, k: int, table: StirlingTable | None = None) -> int:
     """
     if table is None:
         table = _DEFAULT_TABLE
-    if not (isinstance(n, int) and isinstance(k, int) and n >= 0 and k >= 0):
-        raise DomainError(f"stirling2 requires integers n, k >= 0, got n={n}, k={k}")
+    _check_int(n, "stirling2 n", 0)
+    _check_int(k, "stirling2 k", 0)
     if n > table.max_n:
         raise DomainError(
             f"n={n} exceeds the table bound {table.max_n}; "
@@ -146,6 +161,6 @@ def g_coeff(s: int, j: int) -> int:
     reachable from a cold cache; :func:`mubose.expansion.c_coeff` reads
     its integers (j-1)! {s+1, j} = g_s^(j-1) / j from the same rows.
     """
-    if not (isinstance(s, int) and isinstance(j, int) and 0 <= j <= s):
-        raise DomainError(f"g_coeff requires integers 0 <= j <= s, got s={s}, j={j}")
+    _check_int(j, "g_coeff j", 0)
+    _check_int(s, "g_coeff s", j)
     return _g_row(s)[j]

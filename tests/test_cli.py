@@ -315,7 +315,8 @@ class TestFigure:
     # preset -> (quantity, r, point evaluation, asymptote or None)
     PRESET_CALLS = {
         "fig1": ("distribution", 1,
-                 lambda mu, a, tol, m: core.mean_occupation(mu, a, tol), None),
+                 lambda mu, a, tol, m: (core.oracle_moment(mu, a, 1, tol) if m == "oracle"
+                                        else core.mean_occupation(mu, a, tol)), None),
         "fig2": ("lambda2", 2, lambda mu, a, tol, m: core.intercept(mu, a, 2, tol, m),
                  lambda mu: core.intercept_asymptotic(mu, 2)),
         "fig3": ("lambda3", 3, lambda mu, a, tol, m: core.intercept(mu, a, 3, tol, m),
@@ -327,7 +328,7 @@ class TestFigure:
     @pytest.mark.parametrize("tol", [1e-12, 1e-14])
     @pytest.mark.parametrize("preset, allow_oracle", [
         ("fig1", False), ("fig2", False), ("fig3", False), ("fig4", False),
-        ("fig4", True)])
+        ("fig1", True), ("fig4", True)])
     def test_rows_match_direct_core_calls(self, preset, allow_oracle, tol):
         quantity, r, evaluate, asymptote = self.PRESET_CALLS[preset]
         grid = GridSpec(k_steps=3, temperatures=(120.0,), mus=FIGURE_MUS[preset], tol=tol)

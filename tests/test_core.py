@@ -23,7 +23,13 @@ from mubose import (
     DeformationMu,
     DomainError,
     LerchQuery,
+    PQParams,
+    StirlingTable,
     ThermoPoint,
+    a_coeffs,
+    c_coeff,
+    divergence_diagnostic,
+    g_coeff,
     intercept,
     intercept_asymptotic,
     lerch_phi_s1,
@@ -31,9 +37,13 @@ from mubose import (
     mu_bracket,
     mu_factorial,
     oracle_moment,
+    pq_bracket,
     r3_asymptotic,
     r3_function,
     r_moment,
+    series_coeff_oracle,
+    stirling2,
+    taylor_moment,
 )
 
 LN2 = math.log(2.0)
@@ -85,6 +95,36 @@ class TestBracket:
         for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 mu_factorial(2, bad)
+
+
+class TestIntegerArguments:
+    """One integer rule: a bool is no integer, and a numpy integer is refused by its repr."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: r_moment(0.1, 1.0, True),
+        lambda: mu_factorial(True, 0.1),
+        lambda: c_coeff(True, 0, 1.0),
+        lambda: c_coeff(0, True, 1.0),
+        lambda: a_coeffs(True, 0.5),
+        lambda: stirling2(True, 1),
+        lambda: stirling2(1, True),
+        lambda: g_coeff(True, 0),
+        lambda: g_coeff(1, True),
+        lambda: pq_bracket(True, PQParams(0.9, 0.7)),
+        lambda: StirlingTable(True),
+        lambda: series_coeff_oracle(0, 0, 1.0, True),
+        lambda: taylor_moment(0.1, 1.0, 2, True),
+        lambda: divergence_diagnostic(0.1, 1.0, 2, True),
+        lambda: lerch_phi_s1(LerchQuery(0.5, 1.0), True),
+    ])
+    def test_bool_is_refused(self, call):
+        with pytest.raises(DomainError, match="must be an integer >= .*, got True"):
+            call()
+
+    def test_numpy_integer_shows_its_repr(self):
+        with pytest.raises(DomainError) as info:
+            r_moment(0.1, 1.0, np.int64(2))
+        assert str(info.value).endswith(f"got {np.int64(2)!r}")
 
 
 class TestMeanOccupation:
@@ -259,6 +299,14 @@ class TestIntercept:
             assert res.value == float(math.factorial(r) - 1)
             assert res.error_bound == 0.0
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.5, 1.163, 8.4])
+    def test_undeformed_through_the_oracle(self, alpha, r):
+        # method="oracle" never takes the exact mu = 0 form: it sums the series
+        res = intercept(0.0, alpha, r, method="oracle")
+        assert res.method == ORACLE and res.error_bound > 0.0
+        assert abs(res.value - (math.factorial(r) - 1)) <= res.error_bound
+
     def test_tiny_mu_near_undeformed(self):
         alpha = ThermoPoint(120.0, 0.0, PION).alpha
         for r in range(2, 7):
@@ -377,6 +425,11 @@ class TestR3:
     def test_undeformed(self):
         res = r3_function(0.0, 2.0)
         assert res.value == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.163, 8.4])
+    def test_undeformed_through_the_oracle(self, alpha):
+        res = r3_function(0.0, alpha, method="oracle")
+        assert res.method == ORACLE and abs(res.value - 1.0) <= res.error_bound
 
     def test_asymptotic_value(self):
         assert r3_asymptotic(0.1) == pytest.approx(0.7583850796225377, rel=1e-13)
@@ -615,7 +668,10 @@ class TestTermBudget:
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("closed, mu, r", [(False, 0.1, 2), (False, 0.7, 3), (True, 0.1, 1),
-                                               (True, 0.2, 3), (True, 1.5, 2)])
+                                               (True, 0.2, 3), (True, 1.5, 2),
+                                               # no mu^-r bound: the (r+n)^(r+1) bound stops these
+                                               (False, 0.0, 2), (False, 0.0, 3),
+                                               (False, 1e-300, 2)])
     @pytest.mark.parametrize("alpha", [0.06, 0.3, 2.0])
     def test_prediction_never_stops_a_converging_sum(self, closed, mu, r, alpha, monkeypatch):
         # the kernel needs `used` terms; with a budget of used + 1 the sum converges
@@ -626,6 +682,41 @@ class TestTermBudget:
             monkeypatch.setattr(core, "MAX_TERMS", budget)
             hopeless = core._beyond_budget(mu, np.array([alpha]), r, 1e-13, closed)
             assert hopeless[0] == fails, budget
+
+    #: calls that summed for seconds, returned inf +- inf, or raised a bare OverflowError
+    HOSTILE = [
+        (lambda: intercept(0.0, 1e-9, 2, method="oracle"), ConvergenceError),
+        (lambda: oracle_moment(0.0, 1e-9, 2), ConvergenceError),
+        (lambda: r_moment(5e-324, 5e-324, 2), ConvergenceError),
+        (lambda: r3_function(5e-324, 1e-8), ConvergenceError),
+        (lambda: lerch_phi_s1(LerchQuery(1 - 1e-12, 5e-324)), ConvergenceError),
+        (lambda: r_moment(1e-300, 5e-324, 2), DomainError),
+        (lambda: intercept(1e-300, 5e-324, 2), DomainError),
+        (lambda: r3_function(1e-300, 5e-324), DomainError),
+        (lambda: intercept(1e-200, 1e-250, 3), DomainError),
+    ]
+
+    @pytest.mark.parametrize("call, error", HOSTILE)
+    def test_hostile_calls_fail_fast(self, call, error):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("call", [
+        lambda: mean_occupation(1e-300, 1e300),
+        lambda: r_moment(5e-324, 5e-324, 2),
+        lambda: r3_function(1e-300, 5e-324),
+        lambda: intercept(1e-300, 1e300, 2, method="closed"),
+    ])
+    def test_no_numpy_warning_leaks(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                res = call()
+            except (DomainError, ConvergenceError):
+                return
+        assert isinstance(res, CorrelationResult)
 
     def test_a_point_just_inside_the_budget_converges(self, monkeypatch):
         used = int(kernels.oracle_moment_sums(0.1, [0.05], 2, 1e-12, core._TINY, 10**8)[2][0])
@@ -646,9 +737,9 @@ class TestCurveSlots:
     ALPHAS = [0.5, math.nan, 1.163, 0.0, 700.0, -1.0, 8.4, math.inf, 1396.0, 2.5]
 
     ONE_POINT = {
-        "mean": lambda mu, alpha, r, tol, method: mean_occupation(mu, alpha, tol),
-        "moment": lambda mu, alpha, r, tol, method: r_moment(mu, alpha, r, tol),
-        "series": lambda mu, alpha, r, tol, method: oracle_moment(mu, alpha, r, tol),
+        "moment": lambda mu, alpha, r, tol, method: (
+            oracle_moment(mu, alpha, r, tol) if method == "oracle"
+            else mean_occupation(mu, alpha, tol) if r == 1 else r_moment(mu, alpha, r, tol)),
         "intercept": lambda mu, alpha, r, tol, method: intercept(mu, alpha, r, tol, method),
     }
 
@@ -672,7 +763,7 @@ class TestCurveSlots:
 
     @pytest.mark.parametrize("mu", [0.0, 0.1, 0.45, 1e-6])
     @pytest.mark.parametrize("kind, r, method", [
-        ("mean", 1, "auto"), ("moment", 3, "auto"), ("series", 2, "auto"),
+        ("moment", 1, "auto"), ("moment", 3, "auto"), ("moment", 2, "oracle"),
         ("intercept", 2, "auto"), ("intercept", 3, "auto"), ("intercept", 3, "oracle"),
         ("intercept", 3, "closed"),
         # a route error fails every valid slot, after the invalid alphas
@@ -697,12 +788,25 @@ class TestCurveSlots:
 
     @pytest.mark.parametrize("mu", [0.1, 0.45, 2.0])
     @pytest.mark.parametrize("kind, r, method", [
-        ("mean", 1, "auto"), ("moment", 3, "auto"), ("intercept", 2, "auto"),
+        ("moment", 1, "auto"), ("moment", 3, "auto"), ("intercept", 2, "auto"),
         ("intercept", 3, "closed")])
     def test_small_alpha_curve(self, kind, r, method, mu):
         curve = core._curve(kind, mu, self.SMALL_ALPHAS, r, 1e-12, method)
         self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
                            self.SMALL_ALPHAS)
+
+    #: at mu = 1e-300 the moments at 5e-324 and 1e-250 lie beyond the double range
+    TINY_MU_ALPHAS = [5e-324, 1.0, 1e-250, math.nan, 700.0]
+
+    @pytest.mark.parametrize("kind, r, method", [
+        ("moment", 1, "auto"), ("moment", 2, "auto"), ("intercept", 2, "auto"),
+        ("intercept", 3, "auto")])
+    def test_beyond_double_range_fails_in_place(self, kind, r, method):
+        curve = core._curve(kind, 1e-300, self.TINY_MU_ALPHAS, r, 1e-12, method)
+        if r > 1:
+            assert "beyond the double range" in str(curve.failures[0])
+        self._assert_slots(curve, lambda a: self.ONE_POINT[kind](1e-300, a, r, 1e-12, method),
+                           self.TINY_MU_ALPHAS)
 
     def test_r3_slot_keeps_the_lambda2_failure(self, monkeypatch):
         # at alpha = 0.8 both intercepts fail within 40 terms, lambda2 on its
@@ -724,11 +828,12 @@ class TestCurveSlots:
         # with a budget of 40 terms the small alphas fail and the large converge
         monkeypatch.setattr(core, "MAX_TERMS", 40)
         alphas = [0.05, 8.4, math.nan, 0.3, 40.0, 1.0]
-        for kind, r in (("mean", 1), ("series", 3), ("intercept", 2)):
-            curve = core._curve(kind, 0.1, alphas, r, 1e-12)
+        for kind, r, method in (("moment", 1, "auto"), ("moment", 3, "oracle"),
+                                ("intercept", 2, "auto")):
+            curve = core._curve(kind, 0.1, alphas, r, 1e-12, method)
             assert 0 < len(curve.failures) < len(alphas)
             assert any(isinstance(exc, ConvergenceError) for exc in curve.failures.values())
-            self._assert_slots(curve, lambda a: self.ONE_POINT[kind](0.1, a, r, 1e-12, "auto"),
+            self._assert_slots(curve, lambda a: self.ONE_POINT[kind](0.1, a, r, 1e-12, method),
                                alphas)
         curve = core._r3_curve(0.1, alphas, 1e-12)
         self._assert_slots(curve, lambda a: r3_function(0.1, a, 1e-12), alphas)

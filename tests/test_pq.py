@@ -62,6 +62,13 @@ class TestBracket:
         with pytest.raises(DomainError):
             pq_bracket(-1, params)
 
+    def test_subnormal_q(self):
+        # Horner's rule in q never forms 1/q, which overflows below q ~ 5.6e-309
+        assert pq_bracket(3, PQParams(1e-310, 1e-310)) == 0.0
+        assert pq_bracket(3, PQParams(0.5, 1e-310)) == 0.25
+        near = pq_moment(PQParams(0.5, 1e-300), 1.0, 2)
+        assert pq_moment(PQParams(0.5, 1e-310), 1.0, 2) == pytest.approx(near, rel=1e-15)
+
     def test_factorial(self):
         params = PQParams(0.9, 0.7)
         want = pq_bracket(1, params) * pq_bracket(2, params) * pq_bracket(3, params)

@@ -90,6 +90,23 @@ class TestLerchValue:
         with pytest.raises(ConvergenceError):
             lerch_phi_s1(LerchQuery(0.999999, 1.0, 1e-300), max_terms=10)
 
+    @pytest.mark.parametrize("z, a", [(0.5, 1.0), (0.9, 5.0), (0.3, 0.25), (0.95, 12.0)])
+    def test_budget_prediction_never_stops_a_converging_sum(self, z, a, monkeypatch):
+        # the direct sum needs `used` terms: a budget of used + 1 converges, and a
+        # budget of used // 4 is refused before the kernel is called
+        query = LerchQuery(z, a)
+        value, _, used = kernels.lerch_sum(z, a, query.tol, 10**8)
+        assert used >= 8
+        assert lerch_phi_s1(query, used + 1) == value
+        monkeypatch.setattr(kernels, "lerch_sum", None)
+        with pytest.raises(ConvergenceError):
+            lerch_phi_s1(query, used // 4)
+
+    @pytest.mark.parametrize("max_terms", [2.5, None, -3, 0, True])
+    def test_budget_must_be_an_integer(self, max_terms):
+        with pytest.raises(DomainError, match="max_terms must be an integer >= 1"):
+            lerch_phi_s1(LerchQuery(0.5, 1.0), max_terms)
+
 
 class TestStirling:
     def test_small_table(self):
