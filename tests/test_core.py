@@ -763,9 +763,9 @@ class TestCurveSlots:
 
     @pytest.mark.parametrize("mu", [0.0, 0.1, 0.45, 1e-6])
     @pytest.mark.parametrize("kind, r, method", [
-        ("moment", 1, "auto"), ("moment", 3, "auto"), ("moment", 2, "oracle"),
-        ("intercept", 2, "auto"), ("intercept", 3, "auto"), ("intercept", 3, "oracle"),
-        ("intercept", 3, "closed"),
+        pytest.param("moment", 1, "auto", id="mean-1-auto"), ("moment", 3, "auto"),
+        pytest.param("moment", 2, "oracle", id="series-2-oracle"), ("intercept", 2, "auto"),
+        ("intercept", 3, "auto"), ("intercept", 3, "oracle"), ("intercept", 3, "closed"),
         # a route error fails every valid slot, after the invalid alphas
         ("intercept", 1, "auto"), ("intercept", 2, "magic"), ("moment", 0, "auto")])
     def test_curve(self, kind, r, method, mu):
@@ -788,8 +788,8 @@ class TestCurveSlots:
 
     @pytest.mark.parametrize("mu", [0.1, 0.45, 2.0])
     @pytest.mark.parametrize("kind, r, method", [
-        ("moment", 1, "auto"), ("moment", 3, "auto"), ("intercept", 2, "auto"),
-        ("intercept", 3, "closed")])
+        pytest.param("moment", 1, "auto", id="mean-1-auto"), ("moment", 3, "auto"),
+        ("intercept", 2, "auto"), ("intercept", 3, "closed")])
     def test_small_alpha_curve(self, kind, r, method, mu):
         curve = core._curve(kind, mu, self.SMALL_ALPHAS, r, 1e-12, method)
         self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
