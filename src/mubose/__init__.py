@@ -50,7 +50,6 @@ _EXPORTS = {
     "mu_vs_pq_asymptotic_gap": "pq",
     "pq_bracket": "pq",
     "pq_factorial": "pq",
-    "pq_intercept": "pq",
     "pq_intercept_asymptotic": "pq",
     "pq_intercept_result": "pq",
     "pq_moment": "pq",

@@ -40,6 +40,8 @@ _ZERO = _LD(0)
 #: machine epsilon of the accumulation type, one unit in the last place at 1
 EPS = float(np.finfo(np.longdouble).eps)
 _EPS_LD = _LD(np.finfo(np.longdouble).eps)
+#: smallest normal long double
+_LD_TINY = _LD(np.finfo(np.longdouble).tiny)
 #: unit roundoff: the largest relative error of one +, -, * or /
 _U = _EPS_LD / 2
 _DBL_EPS = _LD(DBL_EPS)
@@ -208,7 +210,7 @@ def _block_tails(n: np.ndarray, s: int, z, zns: np.ndarray, passes) -> np.ndarra
 
 def _curve_sums(value, err, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The long-double sums of a curve rounded to doubles, with their term counts."""
-    with np.errstate(over="ignore"):  # a sum beyond the double range rounds to inf
+    with np.errstate(over="ignore"):  # a sum past the double range rounds to inf
         return value.astype(np.float64), err.astype(np.float64), terms
 
 
@@ -721,6 +723,10 @@ def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
         for i in range(window.size, basic.size):
             basic[i] = cur
             prev, cur = cur, s_pq * cur - prod_pq * prev
+        if cur < _LD_TINY and prev < _LD_TINY:
+            # the recurrence can stall on the smallest subnormal, each step slow; a
+            # product of such numbers lies far below the double range of the sum
+            prev = cur = _ZERO
         window = basic[n.size:]
         prod = np.ones(n.size, dtype=_LD)
         for i in range(r):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
-from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, CorrelationResult, ThermoPoint
+from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, ThermoPoint
 from .errors import ConvergenceError, DomainError, _check_int, _check_mu, _check_tol
 
 DEFAULT_MASS = 139.57
@@ -96,34 +96,47 @@ class OutputRecord(NamedTuple):
     method: str
 
 
-def _alpha(T: float, k: float, mass: float) -> float:
-    return ThermoPoint(T, k, mass).alpha
+def _curve_records(quantity: str, curve, momenta: list[float], T: float, mu: float, r: int,
+                   tol: float) -> list[OutputRecord]:
+    """The rows of a ``core._curve`` whose points lie at ``momenta``, one row per point.
 
-
-#: methods whose bound is held to tol: a row whose bound exceeds it gets ``+overtol``
-_TOL_METHODS = (CLOSED_FORM, ORACLE)
-
-
-def _record(key: tuple, res: CorrelationResult, tol: float) -> OutputRecord:
-    """Row (*key, value, error_bound, method) for one result.
-
-    ``key`` is (quantity, k, T, mu, r).  A closed-form or oracle value
-    whose bound exceeds ``tol`` gets the method suffix ``+overtol``.
+    A closed-form or oracle value whose bound exceeds ``tol`` gets the
+    method suffix ``+overtol``.  A failed point keeps its row, with nan
+    cells and the method ``failed``.
     """
-    method = res.method
-    if method in _TOL_METHODS and res.error_bound > tol:
-        method += "+overtol"
-    return OutputRecord(*key, res.value, res.error_bound, method)
+    import numpy as np
+
+    from . import core
+
+    methods = np.array(core._METHODS, dtype=object)[curve.method]
+    held = np.isin(curve.method, [core._METHODS.index(m) for m in (CLOSED_FORM, ORACLE)])
+    methods[held & (curve.error_bound > tol)] += "+overtol"
+    size = len(momenta)
+    return list(map(OutputRecord, repeat(quantity, size), momenta, repeat(T, size),
+                    repeat(mu, size), repeat(r, size), curve.value.tolist(),
+                    curve.error_bound.tolist(), methods.tolist()))
 
 
-def _point_records(key: tuple, res: CorrelationResult, tol: float,
-                   oracle: CorrelationResult | None) -> list[OutputRecord]:
-    """The row of ``res``; with an oracle result, also its row and the difference row."""
-    records = [_record(key, res, tol)]
-    if oracle is not None:
-        records.append(_record(key, oracle, tol))
-        records.append(OutputRecord(*key, res.value - oracle.value,
-                                    res.error_bound + oracle.error_bound, "difference"))
+def _point_records(quantity: str, kind: str, mu: float, T: float, k: float, mass: float,
+                   r: int, tol: float, methods: tuple[str, ...]) -> list[OutputRecord]:
+    """The row of a ``core._curve`` of ``kind`` at one point for each method in turn.
+
+    A point that fails raises its DomainError or ConvergenceError.  With a
+    second method, the difference of the two rows closes the list.
+    """
+    from . import core
+
+    alpha = ThermoPoint(T, k, mass).alpha
+    records: list[OutputRecord] = []
+    for method in methods:
+        curve = core._curve(kind, mu, (alpha,), r, tol, method)
+        if curve.failures:
+            raise curve.failures[0]
+        records += _curve_records(quantity, curve, [k], T, mu, r, tol)
+    if len(records) == 2:
+        res, other = records
+        records.append(res._replace(value=res.value - other.value, method="difference",
+                                    error_bound=res.error_bound + other.error_bound))
     return records
 
 
@@ -131,22 +144,13 @@ def _asymptote(T: float, mu: float, r: int, value: float) -> OutputRecord:
     return OutputRecord("asymptote", math.inf, T, mu, r, value, 0.0, ASYMPTOTIC)
 
 
-def _intercept_quantity(r: int) -> str:
-    if r == 2:
-        return "lambda2"
-    if r == 3:
-        return "lambda3"
-    return "lambda_r"
-
-
 def figure_records(preset: str, grid: GridSpec,
                    allow_oracle: bool = False) -> tuple[list[OutputRecord], int]:
     """Rows behind one figure preset; returns (records, number_of_failures).
 
     Each (T, mu) curve is evaluated in one call over all its momenta, and
-    its rows are built from the curve's arrays, as :func:`_record` builds
-    one row.  A failed point keeps its row, with nan cells and the method
-    ``failed``.
+    its rows are built from the curve's arrays by :func:`_curve_records`,
+    failed points included.
     """
     import numpy as np
 
@@ -159,7 +163,6 @@ def figure_records(preset: str, grid: GridSpec,
     failed = 0
     method = "oracle" if allow_oracle else "auto"
     momenta = grid.momenta()
-    size = len(momenta)
     energies = np.array([math.hypot(grid.mass, k) for k in momenta])
     for T in grid.temperatures:
         # at a subnormal T every alpha overflows to inf, which each point rejects
@@ -171,12 +174,7 @@ def figure_records(preset: str, grid: GridSpec,
                 print(f"record (T={T:g}, mu={mu:g}, k={momenta[i]:g}) failed: {exc}",
                       file=sys.stderr)
             failed += len(curve.failures)
-            methods = np.array(core._METHODS, dtype=object)[curve.method]
-            held = np.isin(curve.method, [core._METHODS.index(m) for m in _TOL_METHODS])
-            methods[held & (curve.error_bound > grid.tol)] += "+overtol"
-            records += map(OutputRecord, repeat(quantity, size), momenta, repeat(T, size),
-                           repeat(mu, size), repeat(r, size), curve.value.tolist(),
-                           curve.error_bound.tolist(), methods.tolist())
+            records += _curve_records(quantity, curve, momenta, T, mu, r, grid.tol)
             if kind != "moment":
                 asym = core.r3_asymptotic(mu) if kind == "r3" else core.intercept_asymptotic(mu, r)
                 records.append(_asymptote(T, mu, r, asym))
@@ -187,24 +185,16 @@ def intercept_records(mu: float, T: float, k: float, mass: float, r: int,
                       tol: float, with_oracle: bool = False,
                       force_oracle: bool = False) -> list[OutputRecord]:
     """Single-point intercept, optionally with the oracle cross-check rows."""
-    from . import core
-
-    alpha = _alpha(T, k, mass)
-    method = "oracle" if force_oracle else "auto"
-    res = core.intercept(mu, alpha, r, tol, method)
-    other = core.intercept(mu, alpha, r, tol, "oracle") if with_oracle else None
-    return _point_records((_intercept_quantity(r), k, T, mu, r), res, tol, other)
+    quantity = {2: "lambda2", 3: "lambda3"}.get(r, "lambda_r")
+    methods = ("oracle" if force_oracle else "auto",) + ("oracle",) * with_oracle
+    return _point_records(quantity, "intercept", mu, T, k, mass, r, tol, methods)
 
 
 def distribution_records(mu: float, T: float, k: float, mass: float,
                          tol: float, with_oracle: bool = False) -> list[OutputRecord]:
     """Mean occupation at one point, optionally with the oracle rows."""
-    from . import core
-
-    alpha = _alpha(T, k, mass)
-    res = core.mean_occupation(mu, alpha, tol)
-    other = core.oracle_moment(mu, alpha, 1, tol) if with_oracle else None
-    return _point_records(("distribution", k, T, mu, 1), res, tol, other)
+    methods = ("auto",) + ("oracle",) * with_oracle
+    return _point_records("distribution", "moment", mu, T, k, mass, 1, tol, methods)
 
 
 def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
@@ -212,10 +202,8 @@ def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
     """The r3 combination at one point plus its asymptote row."""
     from . import core
 
-    alpha = _alpha(T, k, mass)
-    method = "oracle" if force_oracle else "auto"
-    res = core.r3_function(mu, alpha, tol, method)
-    return [_record(("r3", k, T, mu, 3), res, tol),
+    return [*_point_records("r3", "r3", mu, T, k, mass, 3, tol,
+                            ("oracle" if force_oracle else "auto",)),
             _asymptote(T, mu, 3, core.r3_asymptotic(mu))]
 
 
@@ -225,7 +213,7 @@ def pq_records(p: float, q: float, T: float, k: float, mass: float,
     from . import pq
 
     params = pq.PQParams(p, q)
-    alpha = _alpha(T, k, mass)
+    alpha = ThermoPoint(T, k, mass).alpha
     res = pq.pq_intercept_result(params, alpha, r)
     asym = pq.pq_intercept_asymptotic(params, r)
     return [
@@ -246,7 +234,7 @@ def taylor_rows(mu: float, T: float, k: float, mass: float, r: int,
     """Divergence-diagnostic table rows (s, partial_sum, term_magnitude)."""
     from . import expansion
 
-    alpha = _alpha(T, k, mass)
+    alpha = ThermoPoint(T, k, mass).alpha
     entries = expansion.divergence_diagnostic(mu, alpha, r, s_max)
     return [(e.s, e.partial_sum, e.term_magnitude) for e in entries]
 

@@ -40,6 +40,7 @@ from .errors import (
     MAX_TERMS,
     ConvergenceError,
     DomainError,
+    _beyond_range,
     _check_alpha,
     _check_mu,
     _check_order,
@@ -164,7 +165,8 @@ class _Curve:
         self.failures.update(dict.fromkeys(np.atleast_1d(idx).tolist(), exc))
 
 
-def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) -> np.ndarray:
+def _beyond_budget(mu: float, a: Sequence[float], r: int, rtol: float,
+                   closed: bool) -> np.ndarray:
     """Where a series sum at ``a`` cannot pass its stopping test within ``MAX_TERMS`` - 1 terms.
 
     Such a sum would run to its budget and then fail, so it is failed
@@ -194,8 +196,8 @@ def _beyond_budget(mu: float, a: np.ndarray, r: int, rtol: float, closed: bool) 
     computed: there ln tail_n < -800, below ln(2 TINY) = -743.7, because
     kappa < 2^1024, [r]_mu! <= 64!, -ln g < 12 and r ln(r + n) < 1180.
     """
-    n = MAX_TERMS - 1
-    if not a.size or a.min() * (r + n) >= 2000.0:
+    a, n = np.asarray(a, dtype=float), MAX_TERMS - 1
+    if not a.size or a.min() >= 2000.0 / (r + n):
         return np.zeros(a.size, dtype=bool)
     log_g = np.log(-np.expm1(-a))
     if closed:
@@ -375,8 +377,7 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
         value, finite = ratio - 1.0, np.isfinite(mom) & np.isfinite(mean_r)
     curve.put(todo[finite], value[finite], err[finite], tag[finite])
     for i in todo[~finite].tolist():
-        curve.fail(i, DomainError(f"the {kind} at mu={mu}, alpha={alphas[i]}, r={r} lies "
-                                  "beyond the double range"))
+        curve.fail(i, _beyond_range(f"the {kind}", mu=mu, alpha=alphas[i], r=r))
     return curve
 
 

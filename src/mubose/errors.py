@@ -70,15 +70,7 @@ def _convergence_error(max_terms: int, what: str, **context: float) -> Convergen
     return ConvergenceError(f"{what} did not converge within {max_terms} terms ({args})")
 
 
-def _converged(summed: tuple[float, float, int], max_terms: int, what: str,
-               **context: float) -> tuple[float, float]:
-    """(value, error) of a kernel sum (value, error, terms_used).
-
-    A sum that used its whole ``max_terms`` budget stopped on the budget,
-    not on its tolerance, and raises ConvergenceError naming ``what`` and
-    the ``context`` arguments.
-    """
-    value, err, used = summed
-    if used >= max_terms:
-        raise _convergence_error(max_terms, what, **context)
-    return value, err
+def _beyond_range(what: str, **context: float) -> DomainError:
+    """The failure of ``what`` at the ``context`` arguments: its value is no finite double."""
+    args = ", ".join(f"{name}={val}" for name, val in context.items())
+    return DomainError(f"{what} at {args} lies beyond the double range")

@@ -21,6 +21,7 @@ from ._types import DeformationMu, _as_mu
 from .errors import (
     ConvergenceError,
     DomainError,
+    _beyond_range,
     _check_alpha,
     _check_int,
     _check_mu_positive,
@@ -75,33 +76,33 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     with S the Stirling numbers of the second kind.  The integer
     coefficient sets are exposed on the result for exact-arithmetic
     checks; ``recip_coeffs`` are +-g_s^(j-1) / j, from the rows of :func:`special.g_coeff`.
-    From s = 171 the last of them, +-s!, is no double, and none is built.
+    From s = 171 the last of them, +-s!, is no double, and none is built:
+    there, and where a term or the value is no finite double, DomainError is raised.
     """
     _check_int(s, "power index s", 0)
     _check_int(l, "shift l", 0)
     _check_alpha(alpha)
-    if s > 170:
-        raise DomainError(f"c_{s}({l}) at alpha={alpha} has terms beyond the double range")
-    sign = -1 if s % 2 else 1
-    recip = tuple(sign * (g // j) for j, g in enumerate(_g_row(s), start=1))
-    weights = tuple(j**s for j in range(1, l + 1))
-
-    try:
-        x = math.expm1(alpha)
-        recip_part = 0.0
-        xp = 1.0
-        for coeff in recip:
-            xp /= x
-            recip_part += coeff * xp
-        value = recip_part * math.exp(-alpha * l)
-        for j, weight in enumerate(weights, start=1):
-            value += weight * math.exp(alpha * (j - l))
-    except OverflowError:
-        raise DomainError(
-            f"c_{s}({l}) at alpha={alpha} has terms beyond the double range"
-        ) from None
+    value = math.nan
+    if s <= 170:
+        sign = -1 if s % 2 else 1
+        recip = tuple(sign * (g // j) for j, g in enumerate(_g_row(s), start=1))
+        weights = tuple(j**s for j in range(1, l + 1))
+        try:
+            x = math.expm1(alpha)
+            recip_part = 0.0
+            xp = 1.0
+            for coeff in recip:
+                xp /= x
+                recip_part += coeff * xp
+            value = recip_part * math.exp(-alpha * l)
+            for j, weight in enumerate(weights, start=1):
+                value += weight * math.exp(alpha * (j - l))
+        except OverflowError:
+            value = math.nan
     if s == 0:
         value += math.exp(-alpha * l)
+    if not math.isfinite(value):
+        raise _beyond_range(f"c_{s}({l})", alpha=alpha)
     return CCoefficient(s, l, alpha, value, recip, weights)
 
 
@@ -114,6 +115,8 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
 
     Raises
     ------
+    DomainError
+        Where the sum, which grows like s! alpha^-(s+1), exceeds the double range.
     ConvergenceError
         If the geometric tail bound at ``n_max`` is not below 1e-12.
     """
@@ -129,8 +132,18 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
             f"power-sum tail bound {tail:.3g} at n_max={n_max} exceeds "
             f"{ORACLE_TAIL_TOL}; increase n_max"
         )
+    if not math.isfinite(acc):
+        raise _beyond_range(f"the power sum of c_{s}({l})", alpha=alpha)
     sign = -1.0 if s % 2 else 1.0
     return sign * acc
+
+
+def _weighted_coeffs(weights: tuple[float, ...], s: int, alpha: float) -> float:
+    """sum_l A_l c_s(l) over the partial-fraction ``weights`` A_l, summed in order of l."""
+    inner = 0.0
+    for l, weight in enumerate(weights):
+        inner += weight * c_coeff(s, l, alpha).value
+    return inner
 
 
 def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
@@ -154,15 +167,11 @@ def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
     try:
         total = mu ** (-r) / (-math.expm1(-alpha))
         for s in range(order + 1):
-            inner = 0.0
-            for l in range(r):
-                inner += weights[l] * c_coeff(s, l, alpha).value
-            total += mu ** (s - r) * inner
+            total += mu ** (s - r) * _weighted_coeffs(weights, s, alpha)
     except OverflowError:
         total = math.nan
     if not math.isfinite(total):
-        raise DomainError(f"the order-{order} truncation at mu={mu}, alpha={alpha}, r={r} "
-                          "has terms beyond the double range")
+        raise _beyond_range(f"the order-{order} truncation", mu=mu, alpha=alpha, r=r)
     return total
 
 
@@ -195,13 +204,9 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
     partial = 0.0
     for s in range(s_max + 1):
         try:
-            inner = 0.0
-            for l in range(r):
-                inner += weights[l] * c_coeff(s, l, alpha).value
-            term = mu**s * inner
+            term = mu**s * _weighted_coeffs(weights, s, alpha)
         except (OverflowError, DomainError):
-            entries.append(DivergenceEntry(s, partial, math.inf))
-            break
+            term = math.inf
         if not math.isfinite(term):
             entries.append(DivergenceEntry(s, partial, math.inf))
             break

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PoleError, _check_mu_positive, _check_order
+from .errors import DomainError, PoleError, _beyond_range, _check_mu_positive, _check_order
 
 #: relative vanishing threshold for denominators 1 + mu(n-l)
 POLE_TOL = 1e-12
@@ -86,7 +86,7 @@ def a_coeffs(r: int, mu: float) -> ACoefficients:
     try:
         values = _coeff_values(r, mu)
     except OverflowError:
-        raise DomainError(f"A^({r})_l at mu={mu} lie beyond the double range") from None
+        raise _beyond_range(f"A^({r})_l", mu=mu) from None
     return ACoefficients(order=r, mu=mu, values=tuple(values))
 
 

@@ -18,11 +18,12 @@ from .errors import (
     DBL_EPS,
     MAX_TERMS,
     DomainError,
+    _beyond_range,
     _check_alpha,
     _check_int,
     _check_order,
     _check_tol,
-    _converged,
+    _convergence_error,
 )
 
 #: tolerance of the internal (1+mu)^r identity check
@@ -90,6 +91,7 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
     [r]! (1-z) z^r / prod_j (1 - p^j q^(r-j) z), which underflows
     gracefully at large alpha instead of overflowing e^alpha.  Every
     factor 1 - c z, 1 - z included, is formed by :func:`_one_minus`.
+    A moment beyond the double range (alpha -> 0 at p = q = 1) raises DomainError.
     """
     _check_alpha(alpha)
     _check_order(r)
@@ -100,19 +102,28 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
         value *= z
     for j in range(r + 1):
         value /= _one_minus(j * log_p + (r - j) * log_q, alpha)
+    if not math.isfinite(value):
+        raise _beyond_range(f"the p,q moment of order {r}", p=pq.p, q=pq.q, alpha=alpha)
     return value
 
 
 def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
                      tol: float = DEFAULT_TOL) -> CorrelationResult:
-    """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r z^n."""
+    """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r z^n.
+
+    As [n] <= n, a sum that ``core._beyond_budget`` rules out at mu = 0 raises ConvergenceError.
+    """
     from ._backend import kernels
+    from .core import _beyond_budget
 
     _check_alpha(alpha)
     _check_order(r)
     _check_tol(tol)
-    value, err = _converged(kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS),
-                            MAX_TERMS, "p,q oracle", p=pq.p, q=pq.q, alpha=alpha, r=r)
+    used = MAX_TERMS
+    if not _beyond_budget(0.0, [alpha], r, tol, closed=False)[0]:
+        value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
+    if used >= MAX_TERMS:
+        raise _convergence_error(MAX_TERMS, "p,q oracle", p=pq.p, q=pq.q, alpha=alpha, r=r)
     return CorrelationResult(value, err, "oracle")
 
 
@@ -156,18 +167,12 @@ def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult
     for _ in range(r - 1):
         ratio *= pz / gap
     if not math.isfinite(ratio):
-        raise DomainError(f"lambda^({r}) of the p,q gas at p={pq.p}, q={pq.q}, "
-                          f"alpha={alpha} lies beyond the double range")
+        raise _beyond_range(f"lambda^({r}) of the p,q gas", p=pq.p, q=pq.q, alpha=alpha)
     value = ratio - 1.0
     unit = DBL_EPS / 2.0
     k = (2 * r * r + 29 * r + 5) * unit
     return CorrelationResult(value, abs(ratio) * k / (1.0 - k) + unit * abs(value),
                              CLOSED_FORM)
-
-
-def pq_intercept(pq: PQParams, alpha: float, r: int) -> float:
-    """Value of :func:`pq_intercept_result`."""
-    return pq_intercept_result(pq, alpha, r).value
 
 
 def pq_intercept_asymptotic(pq: PQParams, r: int) -> float:
@@ -192,7 +197,7 @@ def mu_vs_pq_asymptotic_gap(d: DeformationMu | float, r: int) -> float:
     try:
         expected = (1.0 + mu) ** r
     except OverflowError:
-        raise DomainError(f"(1+mu)^r at mu={mu}, r={r} lies beyond the double range") from None
+        raise _beyond_range("(1+mu)^r", mu=mu, r=r) from None
     ratio = (intercept_asymptotic(mu, r) + 1.0) / mu_factorial(r, mu)
     if abs(ratio - expected) > _GAP_TOL * expected:
         raise RuntimeError(

@@ -15,10 +15,10 @@ from .errors import (
     EXPANSION_REACH,
     MAX_TERMS,
     DomainError,
+    _beyond_range,
     _check_int,
     _check_tol,
     _convergence_error,
-    _converged,
 )
 
 
@@ -63,7 +63,8 @@ def lerch_phi_s1(query: LerchQuery, max_terms: int = MAX_TERMS) -> float:
     Raises
     ------
     DomainError
-        If ``max_terms`` is not an integer >= 1.
+        If ``max_terms`` is not an integer >= 1, or where Phi >= 1/a
+        exceeds the double range (a subnormal a).
     ConvergenceError
         If the direct sum's bound cannot reach the tolerance within ``max_terms``.
     """
@@ -71,15 +72,18 @@ def lerch_phi_s1(query: LerchQuery, max_terms: int = MAX_TERMS) -> float:
 
     _check_int(max_terms, "max_terms", 1)
     z, a, tol = query.z, query.a, query.tol
+    value, err = math.nan, math.inf
     if z > 0.0 and -math.log(z) * max(a, 1.0) <= EXPANSION_REACH:
         value, err, _ = kernels.lerch_expansion(z, a)
-        if err <= tol:
-            return value
-    if z > 0.0 and (max_terms * math.log(z) - math.log(a + max_terms) - math.log1p(-z)
-                    > math.log(2.0 * tol)):
-        raise _convergence_error(max_terms, "lerch sum", z=z, a=a, tol=tol)
-    value, _err = _converged(kernels.lerch_sum(z, a, tol, max_terms),
-                             max_terms, "lerch sum", z=z, a=a, tol=tol)
+    if not err <= tol:
+        used = max_terms
+        if z == 0.0 or (max_terms * math.log(z) - math.log(a + max_terms) - math.log1p(-z)
+                        <= math.log(2.0 * tol)):
+            value, _err, used = kernels.lerch_sum(z, a, tol, max_terms)
+        if used >= max_terms:
+            raise _convergence_error(max_terms, "lerch sum", z=z, a=a, tol=tol)
+    if not math.isfinite(value):
+        raise _beyond_range("Phi(z, 1, a)", z=z, a=a)
     return value
 
 

@@ -27,7 +27,7 @@ from mubose import (
     mean_occupation,
     mu_vs_pq_asymptotic_gap,
     pq_factorial,
-    pq_intercept,
+    pq_intercept_result,
     pq_moment,
     r_moment,
     r3_asymptotic,
@@ -202,14 +202,14 @@ def test_06_pq_limits_and_gap_ratio():
             if abs(m_got - m_ref) > 1e-10 * abs(m_ref):
                 failures.append(("moment p=q=1", alpha, r))
             l_ref = float(math.factorial(r) - 1)
-            l_got = pq_intercept(ones, alpha, r)
+            l_got = pq_intercept_result(ones, alpha, r).value
             if abs(l_got - l_ref) > 1e-10 * abs(l_ref):
                 failures.append(("intercept p=q=1", alpha, r))
         assert z < 1.0
     for p, q in ((0.9, 0.9), (0.8, 0.6), (1.0, 0.7)):
         pq = PQParams(p, q)
         for r in (2, 3):
-            lam = pq_intercept(pq, 30.0, r)
+            lam = pq_intercept_result(pq, 30.0, r).value
             asym = pq_factorial(r, pq) - 1.0
             if abs(lam - asym) > 1e-6:
                 failures.append(("alpha=30", p, q, r, lam - asym))

@@ -196,6 +196,13 @@ class TestDistribution:
         row = parse_csv(capsys.readouterr().out)[0]
         assert float(row["value"]) == 0.0 and float(row["error_bound"]) > 0.0
 
+    def test_huge_alpha_prints_no_warning(self):
+        # alpha ~ 1.4e308: the term budget test must not overflow alpha (r + MAX_TERMS)
+        out = run_cli("distribution", "--mu", "0.1", "--temperature", "1e-306")
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout.splitlines()[1] == (
+            "distribution,0,1e-306,0.1,1,-0,4.94065645841e-324,closed_form")
+
     def test_with_oracle(self, capsys):
         code = main(["distribution", "--mu", "0.1", "--temperature", "120",
                      "-k", "250", "--with-oracle"])

@@ -38,6 +38,9 @@ from mubose import (
     mu_factorial,
     oracle_moment,
     pq_bracket,
+    pq_intercept_result,
+    pq_moment,
+    pq_oracle_moment,
     r3_asymptotic,
     r3_function,
     r_moment,
@@ -694,6 +697,14 @@ class TestTermBudget:
         (lambda: intercept(1e-300, 5e-324, 2), DomainError),
         (lambda: r3_function(1e-300, 5e-324), DomainError),
         (lambda: intercept(1e-200, 1e-250, 3), DomainError),
+        # the p,q oracle under the mu = 0 oracle's budget rule, as [n]_{p,q} <= n
+        (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 1e-9, 2), ConvergenceError),
+        (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 5e-324, 2), ConvergenceError),
+        # values beyond the double range, which were returned as +-inf
+        (lambda: lerch_phi_s1(LerchQuery(0.5, 5e-324)), DomainError),
+        (lambda: c_coeff(3, 0, 5e-324), DomainError),
+        (lambda: series_coeff_oracle(200, 0, 1.0), DomainError),
+        (lambda: pq_moment(PQParams(1.0, 1.0), 5e-324, 2), DomainError),
     ]
 
     @pytest.mark.parametrize("call, error", HOSTILE)
@@ -708,6 +719,9 @@ class TestTermBudget:
         lambda: r_moment(5e-324, 5e-324, 2),
         lambda: r3_function(1e-300, 5e-324),
         lambda: intercept(1e-300, 1e300, 2, method="closed"),
+        # alpha (r + MAX_TERMS) overflows a double
+        lambda: intercept(0.1, 1.7e308, 2),
+        lambda: mean_occupation(0.1, 1.4e308),
     ])
     def test_no_numpy_warning_leaks(self, call):
         with warnings.catch_warnings():
@@ -717,6 +731,36 @@ class TestTermBudget:
             except (DomainError, ConvergenceError):
                 return
         assert isinstance(res, CorrelationResult)
+
+    #: no alpha lies in (1e-8, 1e-4), where the p,q oracle's sum converges
+    #: only after 1e6-1e8 terms, seconds of work
+    FUZZ_ALPHAS = (5e-324, 1e-300, 1e-12, 1e-9, 1e-3, 1.0, 700.0, 1e300, 1.7e308)
+    FUZZ_PQ = ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (0.9, 1e-300))
+
+    @pytest.mark.parametrize("alpha", FUZZ_ALPHAS)
+    def test_fuzz_ends_fast_in_a_value_or_a_typed_error(self, alpha):
+        calls = [(c_coeff, s, l, alpha) for s in (0, 3) for l in (0, 2)]
+        calls += [(series_coeff_oracle, s, l, alpha) for s in (0, 3) for l in (0, 2)]
+        for p, q in self.FUZZ_PQ:
+            pq = PQParams(p, q)
+            calls.append((lambda a: lerch_phi_s1(LerchQuery(math.exp(-alpha), a)), q))
+            calls += [(fn, pq, alpha, r) for r in (2, 3)
+                      for fn in (pq_moment, pq_intercept_result, pq_oracle_moment)]
+        slow, bad = [], []
+        for fn, *args in calls:
+            # CPU time of this process, which the load of other processes does not inflate
+            start = time.process_time()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = fn(*args)
+                except (DomainError, ConvergenceError):
+                    res = 0.0
+            if time.process_time() - start > 0.1:
+                slow.append((fn, args))
+            if not math.isfinite(getattr(res, "value", res)):
+                bad.append((fn, args, res))
+        assert not slow and not bad, (slow, bad)
 
     def test_a_point_just_inside_the_budget_converges(self, monkeypatch):
         used = int(kernels.oracle_moment_sums(0.1, [0.05], 2, 1e-12, core._TINY, 10**8)[2][0])

@@ -11,7 +11,6 @@ from mubose import (
     mu_vs_pq_asymptotic_gap,
     pq_bracket,
     pq_factorial,
-    pq_intercept,
     pq_intercept_asymptotic,
     pq_intercept_result,
     pq_moment,
@@ -30,7 +29,7 @@ class TestPQParams:
         a = PQParams(0.85, 0.55)
         b = PQParams(0.55, 0.85)
         assert a == b
-        assert pq_intercept(a, 1.3, 3) == pq_intercept(b, 1.3, 3)
+        assert pq_intercept_result(a, 1.3, 3).value == pq_intercept_result(b, 1.3, 3).value
 
     @pytest.mark.parametrize("p,q", [(0.0, 0.5), (1.2, 0.5), (0.5, -0.1), (0.5, 1.01)])
     def test_domain(self, p, q):
@@ -126,38 +125,38 @@ class TestMoment:
 
 class TestIntercept:
     def test_bose_limit(self):
-        assert pq_intercept(PQParams(1.0, 1.0), 2.0, 3) == pytest.approx(5.0, rel=1e-10)
+        assert pq_intercept_result(PQParams(1.0, 1.0), 2.0, 3).value == pytest.approx(5.0, rel=1e-10)
 
     def test_matches_moment_ratio(self):
         for p, q in [(0.9, 0.9), (0.9, 0.7), (0.8, 0.6)]:
             for alpha in (1.0, 2.0):
                 for r in (2, 3):
                     params = PQParams(p, q)
-                    direct = pq_intercept(params, alpha, r)
+                    direct = pq_intercept_result(params, alpha, r).value
                     ratio = pq_moment(params, alpha, r) / pq_moment(params, alpha, 1) ** r - 1.0
                     assert direct == pytest.approx(ratio, rel=1e-10)
 
     def test_oracle_assembly(self):
         params = PQParams(0.9, 0.9)
-        direct = pq_intercept(params, 2.0, 2)
+        direct = pq_intercept_result(params, 2.0, 2).value
         mom = pq_oracle_moment(params, 2.0, 2).value
         mean = pq_oracle_moment(params, 2.0, 1).value
         assert direct == pytest.approx(mom / mean**2 - 1.0, rel=1e-9)
 
     def test_frozen_value(self):
-        got = pq_intercept(PQParams(0.9, 0.7), 2.0, 3)
+        got = pq_intercept_result(PQParams(0.9, 0.7), 2.0, 3).value
         assert got == pytest.approx(1.7812523998717314, rel=1e-12)
 
     def test_asymptote_convergence(self):
         for p, q in [(0.9, 0.9), (0.8, 0.6)]:
             params = PQParams(p, q)
             for r in (2, 3):
-                got = pq_intercept(params, 30.0, r)
+                got = pq_intercept_result(params, 30.0, r).value
                 assert got == pytest.approx(pq_intercept_asymptotic(params, r), abs=1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            pq_intercept(PQParams(0.9, 0.7), 1.0, 1)
+            pq_intercept_result(PQParams(0.9, 0.7), 1.0, 1)
 
 
 class TestInterceptBound:
@@ -197,7 +196,7 @@ class TestInterceptBound:
                         pq_intercept_result(PQParams(p, q), alpha, r)
                     continue
                 res = pq_intercept_result(PQParams(p, q), alpha, r)
-                assert res.value == pq_intercept(PQParams(p, q), alpha, r)
+                assert res.value == pq_intercept_result(PQParams(p, q), alpha, r).value
                 err = abs(res.value - float(want))
                 assert err <= res.error_bound, (p, q, alpha, r, err, res.error_bound)
                 # a few hundred roundoffs, not a blanket allowance
@@ -207,7 +206,7 @@ class TestInterceptBound:
         # p = q = 1 is the Bose gas, lambda^(r) = r! - 1 at every alpha
         for alpha in (5e-324, 1e-300, 1.3957e-80, 1.0):
             for r in (2, 3, 5):
-                assert pq_intercept(PQParams(1.0, 1.0), alpha, r) == math.factorial(r) - 1
+                assert pq_intercept_result(PQParams(1.0, 1.0), alpha, r).value == math.factorial(r) - 1
 
 
 class TestAsymptotic:
