@@ -55,7 +55,6 @@ _EXPORTS = {
     "pq_moment": "pq",
     "pq_oracle_moment": "pq",
     "LerchQuery": "special",
-    "StirlingTable": "special",
     "g_coeff": "special",
     "lerch_phi_s1": "special",
     "stirling2": "special",

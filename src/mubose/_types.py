@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _check_mu
+from .errors import _check_nonnegative, _check_positive
 
 DEFAULT_TOL = 1e-12
 
@@ -27,7 +27,7 @@ class DeformationMu:
     mu: float
 
     def __post_init__(self) -> None:
-        _check_mu(self.mu)
+        _check_nonnegative(self.mu, "deformation parameter")
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,9 @@ class ThermoPoint:
     mass: float
 
     def __post_init__(self) -> None:
-        if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-        if not (self.momentum >= 0.0) or not math.isfinite(self.momentum):
-            raise DomainError(f"momentum must be >= 0, got {self.momentum}")
-        if not (self.mass > 0.0) or not math.isfinite(self.mass):
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        _check_positive(self.temperature, "temperature")
+        _check_nonnegative(self.momentum, "momentum")
+        _check_positive(self.mass, "mass")
 
     @property
     def alpha(self) -> float:

@@ -26,7 +26,14 @@ from itertools import repeat
 from typing import NamedTuple
 
 from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, ThermoPoint
-from .errors import ConvergenceError, DomainError, _check_int, _check_mu, _check_tol
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    _check_finite,
+    _check_int,
+    _check_nonnegative,
+    _check_positive,
+)
 
 DEFAULT_MASS = 139.57
 
@@ -61,22 +68,22 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("k_min", "k_max", "mass"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not all(math.isfinite(t) for t in self.temperatures):
-            raise DomainError(f"temperatures must be finite, got {self.temperatures}")
+            _check_finite(getattr(self, name), name)
+        for t in self.temperatures:
+            _check_finite(t, "temperatures")
         if not (0.0 <= self.k_min < self.k_max):
             raise DomainError(
                 f"need 0 <= k_min < k_max, got [{self.k_min}, {self.k_max}]"
             )
         _check_int(self.k_steps, "k_steps", 2)
-        if not self.temperatures or any(t <= 0.0 for t in self.temperatures):
-            raise DomainError(f"temperatures must be positive, got {self.temperatures}")
+        if not self.temperatures:
+            raise DomainError("need at least one temperature")
+        for t in self.temperatures:
+            _check_positive(t, "temperatures")
         for mu in self.mus:
-            _check_mu(mu)
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
-        _check_tol(self.tol)
+            _check_nonnegative(mu, "deformation parameter")
+        _check_positive(self.mass, "mass")
+        _check_positive(self.tol, "tolerance")
 
     def momenta(self) -> list[float]:
         step = (self.k_max - self.k_min) / (self.k_steps - 1)

@@ -41,10 +41,9 @@ from .errors import (
     ConvergenceError,
     DomainError,
     _beyond_range,
-    _check_alpha,
-    _check_mu,
+    _check_nonnegative,
     _check_order,
-    _check_tol,
+    _check_positive,
     _convergence_error,
 )
 
@@ -72,16 +71,15 @@ _R3_LINEAR = 2.0**-10
 
 def mu_bracket(n: float, mu: float) -> float:
     """Structure function phi(n) = n / (1 + mu n)."""
-    if not (n >= 0.0) or not math.isfinite(n):
-        raise DomainError(f"occupation argument must be >= 0, got {n}")
-    _check_mu(mu)
+    _check_nonnegative(n, "occupation argument")
+    _check_nonnegative(mu, "deformation parameter")
     return n / (1.0 + mu * n)
 
 
 def mu_factorial(r: int, mu: float) -> float:
     """Deformed factorial prod_{j=1}^{r} j / (1 + mu j)."""
     _check_order(r)
-    _check_mu(mu)
+    _check_nonnegative(mu, "deformation parameter")
     out = 1.0
     for j in range(1, r + 1):
         out *= j / (1.0 + mu * j)
@@ -96,7 +94,7 @@ def _route(kind: str, mu: float, r: int, tol: float, method: str) -> str | None:
     mu = 0 is exact unless the method is ``oracle``, which never takes a closed form.
     """
     _check_order(r, minimum=2 if kind == "intercept" else 1)
-    _check_tol(tol)
+    _check_positive(tol, "tolerance")
     if method not in ("auto", "closed", "oracle"):
         raise DomainError(f"unknown method {method!r}")
     return None if mu == 0.0 and method != "oracle" else method
@@ -335,7 +333,7 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
     valid = (a > 0.0) & np.isfinite(a)
     for i in np.flatnonzero(~valid).tolist():
         try:
-            _check_alpha(alphas[i])
+            _check_positive(alphas[i], "alpha")
         except DomainError as exc:
             curve.fail(i, exc)
     todo = np.flatnonzero(valid)
@@ -350,7 +348,8 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
         tag, finite = np.full(todo.size, _METHODS.index(CLOSED_FORM), np.int8), np.isfinite(value)
     elif kind == "moment":
         value, err, tag, ok = _sums(mu, a, todo, r, tol, route, series, curve)
-        todo, value, err, tag = todo[ok], value[ok], err[ok], tag[ok]
+        # where z^r underflows the closed series sums to -0.0; + 0.0 makes it 0.0
+        todo, value, err, tag = todo[ok], value[ok] + 0.0, err[ok], tag[ok]
         finite = np.isfinite(value)
     else:
         part_tol = tol / (2.0 * (r + 1))

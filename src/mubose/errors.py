@@ -32,9 +32,19 @@ class ConvergenceError(RuntimeError):
     """A series could not be driven below the requested tolerance."""
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+def _check_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+
+
+def _check_positive(value: float, what: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")
+
+
+def _check_nonnegative(value: float, what: str) -> None:
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{what} must be >= 0 and finite, got {value}")
 
 
 def _check_int(value: int, what: str, minimum: int) -> None:
@@ -47,21 +57,6 @@ def _check_order(r: int, minimum: int = 1) -> None:
     _check_int(r, "order", minimum)
     if r > MAX_ORDER:
         raise DomainError(f"order {r} exceeds the supported bound {MAX_ORDER}")
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0) or not math.isfinite(tol):
-        raise DomainError(f"tolerance must be positive, got {tol}")
-
-
-def _check_mu(mu: float) -> None:
-    if not (mu >= 0.0) or not math.isfinite(mu):
-        raise DomainError(f"deformation parameter must be >= 0, got {mu}")
-
-
-def _check_mu_positive(mu: float) -> None:
-    if not (mu > 0.0) or not math.isfinite(mu):
-        raise DomainError(f"deformation parameter must be positive, got {mu}")
 
 
 def _convergence_error(max_terms: int, what: str, **context: float) -> ConvergenceError:

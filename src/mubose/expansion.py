@@ -22,10 +22,9 @@ from .errors import (
     ConvergenceError,
     DomainError,
     _beyond_range,
-    _check_alpha,
     _check_int,
-    _check_mu_positive,
     _check_order,
+    _check_positive,
 )
 from .partfrac import a_coeffs
 from .special import _g_row
@@ -81,7 +80,7 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     """
     _check_int(s, "power index s", 0)
     _check_int(l, "shift l", 0)
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     value = math.nan
     if s <= 170:
         sign = -1 if s % 2 else 1
@@ -124,7 +123,7 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
 
     _check_int(s, "power index s", 0)
     _check_int(l, "shift l", 0)
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     _check_int(n_max, "n_max", l + 1)
     acc, tail = kernels.power_sum(s, l, alpha, n_max, ORACLE_TAIL_TOL)
     if not (tail < ORACLE_TAIL_TOL):
@@ -159,8 +158,8 @@ def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
     DomainError.
     """
     mu = _as_mu(d)
-    _check_mu_positive(mu)
-    _check_alpha(alpha)
+    _check_positive(mu, "deformation parameter")
+    _check_positive(alpha, "alpha")
     _check_order(r)
     _check_int(order, "truncation order", 0)
     weights = a_coeffs(r, mu).values
@@ -195,8 +194,8 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
     row with infinite magnitude rather than an exception.
     """
     mu = _as_mu(d)
-    _check_mu_positive(mu)
-    _check_alpha(alpha)
+    _check_positive(mu, "deformation parameter")
+    _check_positive(alpha, "alpha")
     _check_order(r)
     _check_int(s_max, "s_max", 0)
     weights = a_coeffs(r, mu).values

@@ -21,11 +21,10 @@ are out of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PoleError, _beyond_range, _check_mu_positive, _check_order
+from .errors import PoleError, _beyond_range, _check_finite, _check_order, _check_positive
 
 #: relative vanishing threshold for denominators 1 + mu(n-l)
 POLE_TOL = 1e-12
@@ -82,7 +81,7 @@ def a_coeffs(r: int, mu: float) -> ACoefficients:
     DomainError.
     """
     _check_order(r)
-    _check_mu_positive(mu)
+    _check_positive(mu, "deformation parameter")
     try:
         values = _coeff_values(r, mu)
     except OverflowError:
@@ -100,9 +99,8 @@ def expansion_residual(r: int, mu: float, n: float) -> float:
     which is exactly the regime a residual probe has to survive.
     """
     _check_order(r)
-    _check_mu_positive(mu)
-    if not math.isfinite(n):
-        raise DomainError(f"evaluation point must be finite, got {n}")
+    _check_positive(mu, "deformation parameter")
+    _check_finite(n, "evaluation point")
     for l in range(r):
         den = 1.0 + mu * (n - l)
         if abs(den) < POLE_TOL * max(1.0, abs(mu * (n - l))):

@@ -19,10 +19,9 @@ from .errors import (
     MAX_TERMS,
     DomainError,
     _beyond_range,
-    _check_alpha,
     _check_int,
     _check_order,
-    _check_tol,
+    _check_positive,
     _convergence_error,
 )
 
@@ -43,7 +42,7 @@ class PQParams:
 
     def __post_init__(self) -> None:
         for name, val in (("p", self.p), ("q", self.q)):
-            if not (0.0 < val <= 1.0) or not math.isfinite(val):
+            if not 0.0 < val <= 1.0:
                 raise DomainError(f"{name} must lie in (0, 1], got {val}")
         if self.q > self.p:
             p, q = self.q, self.p
@@ -93,7 +92,7 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
     factor 1 - c z, 1 - z included, is formed by :func:`_one_minus`.
     A moment beyond the double range (alpha -> 0 at p = q = 1) raises DomainError.
     """
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     _check_order(r)
     log_p, log_q = math.log(pq.p), math.log(pq.q)
     z = math.exp(-alpha)
@@ -116,9 +115,9 @@ def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
     from ._backend import kernels
     from .core import _beyond_budget
 
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     _check_order(r)
-    _check_tol(tol)
+    _check_positive(tol, "tolerance")
     used = MAX_TERMS
     if not _beyond_budget(0.0, [alpha], r, tol, closed=False)[0]:
         value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
@@ -155,7 +154,7 @@ def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult
         one quotient (1-pz)/(1-z) at a subnormal alpha, exceeds the double
         range.
     """
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     _check_order(r, minimum=2)
     log_p, log_q = math.log(pq.p), math.log(pq.q)
     pz = _one_minus(log_p, alpha)

@@ -1,6 +1,8 @@
 """Lerch transcendent evaluation and integer combinatorics."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -8,7 +10,6 @@ from mubose import (
     ConvergenceError,
     DomainError,
     LerchQuery,
-    StirlingTable,
     g_coeff,
     lerch_phi_s1,
     stirling2,
@@ -27,10 +28,13 @@ class TestLerchQuery:
     @pytest.mark.parametrize(
         "z,a,tol",
         [(-0.1, 1.0, TOL), (1.0, 1.0, TOL), (1.5, 1.0, TOL),
-         (0.5, 0.0, TOL), (0.5, -2.0, TOL), (0.5, 1.0, 0.0), (0.5, 1.0, -1e-9)],
+         (0.5, 0.0, TOL), (0.5, -2.0, TOL), (0.5, 1.0, 0.0), (0.5, 1.0, -1e-9),
+         (0.5, math.nan, TOL), (0.5, math.inf, TOL), (0.5, -math.inf, TOL)],
     )
     def test_invalid(self, z, a, tol):
-        with pytest.raises(DomainError):
+        # each case spoils one argument of the valid query (0.5, 1.0, TOL)
+        what = "lerch argument z" if z != 0.5 else "lerch shift a" if a != 1.0 else "tolerance"
+        with pytest.raises(DomainError, match=f"^{what} must"):
             LerchQuery(z, a, tol)
 
 
@@ -86,9 +90,10 @@ class TestLerchValue:
         want = kernels.lerch_sum(query.z, query.a, query.tol, 10**8)[0]
         assert lerch_phi_s1(query) == want
 
-    def test_term_budget_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            lerch_phi_s1(LerchQuery(0.999999, 1.0, 1e-300), max_terms=10)
+    def test_term_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(special, "MAX_TERMS", 10)
+        with pytest.raises(ConvergenceError, match="within 10 terms"):
+            lerch_phi_s1(LerchQuery(0.999999, 1.0, 1e-300))
 
     @pytest.mark.parametrize("z, a", [(0.5, 1.0), (0.9, 5.0), (0.3, 0.25), (0.95, 12.0)])
     def test_budget_prediction_never_stops_a_converging_sum(self, z, a, monkeypatch):
@@ -97,15 +102,12 @@ class TestLerchValue:
         query = LerchQuery(z, a)
         value, _, used = kernels.lerch_sum(z, a, query.tol, 10**8)
         assert used >= 8
-        assert lerch_phi_s1(query, used + 1) == value
+        monkeypatch.setattr(special, "MAX_TERMS", used + 1)
+        assert lerch_phi_s1(query) == value
+        monkeypatch.setattr(special, "MAX_TERMS", used // 4)
         monkeypatch.setattr(kernels, "lerch_sum", None)
         with pytest.raises(ConvergenceError):
-            lerch_phi_s1(query, used // 4)
-
-    @pytest.mark.parametrize("max_terms", [2.5, None, -3, 0, True])
-    def test_budget_must_be_an_integer(self, max_terms):
-        with pytest.raises(DomainError, match="max_terms must be an integer >= 1"):
-            lerch_phi_s1(LerchQuery(0.5, 1.0), max_terms)
+            lerch_phi_s1(query)
 
 
 class TestStirling:
@@ -125,11 +127,34 @@ class TestStirling:
             for k in range(1, n + 1):
                 assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
-    def test_table_bound(self):
-        with pytest.raises(DomainError):
-            stirling2(65, 3)
-        table = StirlingTable(max_n=80)
-        assert stirling2(65, 3, table) > 0
+    def test_deep_row_from_a_cold_cache(self, monkeypatch):
+        # the rows are built in a loop up to the bound, and none beyond it
+        monkeypatch.setattr(special, "_S2_ROWS", [(1,)])
+        assert stirling2(600, 2) == 2**599 - 1
+        assert stirling2(special._MAX_ROW, special._MAX_ROW) == 1
+        with pytest.raises(DomainError, match=f"exceeds the supported bound {special._MAX_ROW}"):
+            stirling2(special._MAX_ROW + 1, 700)
+        assert len(special._S2_ROWS) == special._MAX_ROW + 1
+
+    def test_threads_grow_one_cold_cache(self, monkeypatch):
+        # threads extend both triangles at once: a lost or doubled row would shift the rows
+        monkeypatch.setattr(special, "_S2_ROWS", [(1,)])
+        monkeypatch.setattr(special, "_G_ROWS", [(1,)])
+        threads = [threading.Thread(target=lambda n=n: (stirling2(n, 2), g_coeff(n, 1)))
+                   for n in (50, 100, 150, 200) * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for rows in (special._S2_ROWS, special._G_ROWS):
+            assert [len(row) for row in rows] == list(range(1, 202))
+        assert stirling2(200, 2) == 2**199 - 1 and g_coeff(200, 1) == 2 * (2**200 - 1)
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
@@ -138,8 +163,6 @@ class TestStirling:
             stirling2(-1, 0)
         with pytest.raises(DomainError):
             stirling2(3, -2)
-        with pytest.raises(DomainError):
-            StirlingTable(max_n=0)
 
 
 class TestGCoefficients:
@@ -159,6 +182,10 @@ class TestGCoefficients:
         # the rows are built in a loop: no recursion depth limits s
         monkeypatch.setattr(special, "_G_ROWS", [(1,)], raising=False)
         assert g_coeff(600, 1) == 2 * (2**600 - 1)
+        assert g_coeff(special._MAX_ROW, special._MAX_ROW) == math.factorial(special._MAX_ROW + 1)
+        with pytest.raises(DomainError, match=f"exceeds the supported bound {special._MAX_ROW}"):
+            g_coeff(special._MAX_ROW + 1, 0)
+        assert len(special._G_ROWS) == special._MAX_ROW + 1
 
     def test_range_check(self):
         with pytest.raises(DomainError):
