@@ -18,12 +18,6 @@ __version__ = "0.1.0"
 #: the module that defines each public name, imported on the name's first use
 _EXPORTS = {
     "backend_name": "_backend",
-    "ASYMPTOTIC": "_types",
-    "CLOSED_FORM": "_types",
-    "ORACLE": "_types",
-    "CorrelationResult": "_types",
-    "DeformationMu": "_types",
-    "ThermoPoint": "_types",
     "intercept": "core",
     "intercept_asymptotic": "core",
     "mean_occupation": "core",
@@ -33,9 +27,15 @@ _EXPORTS = {
     "r3_asymptotic": "core",
     "r3_function": "core",
     "r_moment": "core",
+    "ASYMPTOTIC": "errors",
+    "CLOSED_FORM": "errors",
+    "ORACLE": "errors",
     "ConvergenceError": "errors",
+    "CorrelationResult": "errors",
+    "DeformationMu": "errors",
     "DomainError": "errors",
     "PoleError": "errors",
+    "ThermoPoint": "errors",
     "CCoefficient": "expansion",
     "DivergenceEntry": "expansion",
     "c_coeff": "expansion",

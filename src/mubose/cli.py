@@ -25,10 +25,14 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
-from ._types import ASYMPTOTIC, CLOSED_FORM, DEFAULT_TOL, ORACLE, ThermoPoint
 from .errors import (
+    ASYMPTOTIC,
+    CLOSED_FORM,
+    DEFAULT_TOL,
+    ORACLE,
     ConvergenceError,
     DomainError,
+    ThermoPoint,
     _check_finite,
     _check_int,
     _check_nonnegative,

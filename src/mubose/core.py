@@ -24,22 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import kernels
-from ._types import (
+from .errors import (
     ASYMPTOTIC,
     CLOSED_FORM,
-    DEFAULT_TOL,
-    ORACLE,
-    CorrelationResult,
-    DeformationMu,
-    ThermoPoint,  # noqa: F401  (core.ThermoPoint stays a public name)
-    _as_mu,
-)
-from .errors import (
     DBL_EPS,
+    DEFAULT_TOL,
     EXPANSION_REACH,
     MAX_TERMS,
+    ORACLE,
     ConvergenceError,
+    CorrelationResult,
+    DeformationMu,
     DomainError,
+    ThermoPoint,  # noqa: F401  (core.ThermoPoint stays a public name)
+    _as_mu,
     _beyond_range,
     _check_nonnegative,
     _check_order,
@@ -192,7 +190,8 @@ def _beyond_budget(mu: float, a: Sequence[float], r: int, rtol: float,
 
     Where every alpha (r + n) >= 2000 no sum is failed, and nothing is
     computed: there ln tail_n < -800, below ln(2 TINY) = -743.7, because
-    kappa < 2^1024, [r]_mu! <= 64!, -ln g < 12 and r ln(r + n) < 1180.
+    kappa < 2^1024, [r]_mu! <= 64!, and at n = 2^21 - 1 and r <= 64,
+    -ln g < 7 and r ln(r + n) < 932.
     """
     a, n = np.asarray(a, dtype=float), MAX_TERMS - 1
     if not a.size or a.min() >= 2000.0 / (r + n):

@@ -17,17 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._types import DeformationMu, _as_mu
 from .errors import (
-    ConvergenceError,
+    DeformationMu,
     DomainError,
+    _as_mu,
     _beyond_range,
     _check_int,
     _check_order,
     _check_positive,
+    _convergence_error,
 )
 from .partfrac import a_coeffs
-from .special import _g_row
+from .special import _MAX_ROW, _g_row
 
 #: absolute tail budget of the brute-force coefficient oracle
 ORACLE_TAIL_TOL = 1e-12
@@ -75,14 +76,15 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     with S the Stirling numbers of the second kind.  The integer
     coefficient sets are exposed on the result for exact-arithmetic
     checks; ``recip_coeffs`` are +-g_s^(j-1) / j, from the rows of :func:`special.g_coeff`.
-    From s = 171 the last of them, +-s!, is no double, and none is built:
-    there, and where a term or the value is no finite double, DomainError is raised.
+    Beyond s = ``special._MAX_ROW`` the last of them, +-s!, is no double, and
+    none is built: there, and where a term or the value is no finite double,
+    DomainError is raised.
     """
     _check_int(s, "power index s", 0)
     _check_int(l, "shift l", 0)
     _check_positive(alpha, "alpha")
     value = math.nan
-    if s <= 170:
+    if s <= _MAX_ROW:
         sign = -1 if s % 2 else 1
         recip = tuple(sign * (g // j) for j, g in enumerate(_g_row(s), start=1))
         weights = tuple(j**s for j in range(1, l + 1))
@@ -127,51 +129,11 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     _check_int(n_max, "n_max", l + 1)
     acc, tail = kernels.power_sum(s, l, alpha, n_max, ORACLE_TAIL_TOL)
     if not (tail < ORACLE_TAIL_TOL):
-        raise ConvergenceError(
-            f"power-sum tail bound {tail:.3g} at n_max={n_max} exceeds "
-            f"{ORACLE_TAIL_TOL}; increase n_max"
-        )
+        raise _convergence_error(n_max + 1, f"the power sum of c_{s}({l})", alpha=alpha)
     if not math.isfinite(acc):
         raise _beyond_range(f"the power sum of c_{s}({l})", alpha=alpha)
     sign = -1.0 if s % 2 else 1.0
     return sign * acc
-
-
-def _weighted_coeffs(weights: tuple[float, ...], s: int, alpha: float) -> float:
-    """sum_l A_l c_s(l) over the partial-fraction ``weights`` A_l, summed in order of l."""
-    inner = 0.0
-    for l, weight in enumerate(weights):
-        inner += weight * c_coeff(s, l, alpha).value
-    return inner
-
-
-def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
-                  order: int) -> float:
-    """Order-``order`` truncation of the unnormalized moment sum.
-
-    Evaluates mu^(-r) (1 - e^(-alpha))^(-1)
-    + mu^(-r) sum_{s=0}^{order} sum_{l<r} A^(r)_l(mu) c_s(l) mu^s,
-    the Taylor expansion of sum_n e^(-alpha n) prod_{l<r} phi(n-l).
-    The (1 - e^(-alpha)) thermal normalization is deliberately not
-    applied here; the exact moments live in :mod:`mubose.core`.  A
-    truncation with a term or a sum beyond the double range raises
-    DomainError.
-    """
-    mu = _as_mu(d)
-    _check_positive(mu, "deformation parameter")
-    _check_positive(alpha, "alpha")
-    _check_order(r)
-    _check_int(order, "truncation order", 0)
-    weights = a_coeffs(r, mu).values
-    try:
-        total = mu ** (-r) / (-math.expm1(-alpha))
-        for s in range(order + 1):
-            total += mu ** (s - r) * _weighted_coeffs(weights, s, alpha)
-    except OverflowError:
-        total = math.nan
-    if not math.isfinite(total):
-        raise _beyond_range(f"the order-{order} truncation", mu=mu, alpha=alpha, r=r)
-    return total
 
 
 @dataclass(frozen=True)
@@ -203,7 +165,10 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
     partial = 0.0
     for s in range(s_max + 1):
         try:
-            term = mu**s * _weighted_coeffs(weights, s, alpha)
+            inner = 0.0
+            for l, weight in enumerate(weights):
+                inner += weight * c_coeff(s, l, alpha).value
+            term = mu**s * inner
         except (OverflowError, DomainError):
             term = math.inf
         if not math.isfinite(term):
@@ -212,6 +177,31 @@ def divergence_diagnostic(d: DeformationMu | float, alpha: float, r: int,
         partial += term
         entries.append(DivergenceEntry(s, partial, abs(term)))
     return entries
+
+
+def taylor_moment(d: DeformationMu | float, alpha: float, r: int,
+                  order: int) -> float:
+    """Order-``order`` truncation of the unnormalized moment sum.
+
+    Evaluates mu^(-r) [(1 - e^(-alpha))^(-1)
+    + sum_{s=0}^{order} sum_{l<r} A^(r)_l(mu) c_s(l) mu^s],
+    the Taylor expansion of sum_n e^(-alpha n) prod_{l<r} phi(n-l), whose
+    sum over s is the ``partial_sum`` of row ``order`` of
+    :func:`divergence_diagnostic`.  The (1 - e^(-alpha)) thermal
+    normalization is deliberately not applied here; the exact moments live
+    in :mod:`mubose.core`.  A truncation with a term or a sum beyond the
+    double range raises DomainError.
+    """
+    _check_int(order, "truncation order", 0)
+    last = divergence_diagnostic(d, alpha, r, order)[-1]
+    mu = _as_mu(d)
+    try:
+        total = mu ** (-r) * (1.0 / -math.expm1(-alpha) + last.partial_sum)
+    except OverflowError:
+        total = math.nan
+    if last.term_magnitude == math.inf or not math.isfinite(total):
+        raise _beyond_range(f"the order-{order} truncation", mu=mu, alpha=alpha, r=r)
+    return total
 
 
 def turning_point(entries: list[DivergenceEntry]) -> int:

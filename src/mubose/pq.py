@@ -13,11 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._types import CLOSED_FORM, DEFAULT_TOL, CorrelationResult, DeformationMu, _as_mu
 from .errors import (
+    CLOSED_FORM,
     DBL_EPS,
+    DEFAULT_TOL,
     MAX_TERMS,
+    ORACLE,
+    CorrelationResult,
+    DeformationMu,
     DomainError,
+    _as_mu,
     _beyond_range,
     _check_int,
     _check_order,
@@ -123,7 +128,7 @@ def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
         value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
     if used >= MAX_TERMS:
         raise _convergence_error(MAX_TERMS, "p,q oracle", p=pq.p, q=pq.q, alpha=alpha, r=r)
-    return CorrelationResult(value, err, "oracle")
+    return CorrelationResult(value, err, ORACLE)
 
 
 def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult:

@@ -12,6 +12,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import (
+    DEFAULT_TOL,
     EXPANSION_REACH,
     MAX_TERMS,
     DomainError,
@@ -38,7 +39,7 @@ class LerchQuery:
 
     z: float
     a: float
-    tol: float = 1e-12
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.z < 1.0:
@@ -85,9 +86,11 @@ def lerch_phi_s1(query: LerchQuery) -> float:
     return value
 
 
-#: highest row of the {n, k} and g triangles.  The rows up to n hold O(n^3)
-#: bits (g's about 90 MB at 640), so a deeper row is refused rather than built.
-_MAX_ROW = 640
+#: highest row of the {n, k} and g triangles: 170 is the largest s at which
+#: s! = g_s^s / (s+1), the last integer of c_s, is a double, so
+#: :func:`mubose.expansion.c_coeff` reads no deeper row.  The rows up to n
+#: hold O(n^3) bits, so a deeper row is refused rather than built.
+_MAX_ROW = 170
 _ROW_LOCK = threading.Lock()
 
 #: rows 0, 1, ... of {n, k} and of g, each extended by :func:`_row` under ``_ROW_LOCK``
@@ -118,7 +121,7 @@ def stirling2(n: int, k: int) -> int:
 
     Conventions: {0, 0} = 1, {n, 0} = 0 for n > 0, and {n, k} = 0 for
     k > n.  The rows come from {n, k} = k {n-1, k} + {n-1, k-1}; any
-    n <= 640 is reachable from a cold cache, and a larger n raises a
+    n <= 170 is reachable from a cold cache, and a larger n raises a
     domain error.
     """
     _check_int(n, "stirling2 n", 0)
@@ -137,7 +140,7 @@ def g_coeff(s: int, j: int) -> int:
 
     Satisfies g_s^j = (j+1)! {s+1, j+1}; g keeps its own recurrence,
     apart from :func:`stirling2`'s, so the identity stays a real
-    cross-check.  Both triangles share one row cache, so any s <= 640 is
+    cross-check.  Both triangles share one row cache, so any s <= 170 is
     reachable from a cold cache and a larger s raises a domain error;
     :func:`mubose.expansion.c_coeff` reads its integers
     (j-1)! {s+1, j} = g_s^(j-1) / j from the same rows.

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubose import core
 from mubose._backend import kernels
 from mubose.core import DEFAULT_TOL
 from mubose.partfrac import _exact_coeffs
+from test_pq import TestInterceptBound as _PQBound
 from mubose import (
     ASYMPTOTIC,
     CLOSED_FORM,
@@ -513,18 +514,33 @@ class TestWholeDomain:
     @settings(max_examples=80)
     @given(
         mu=st.one_of(st.sampled_from([1.0 / j for j in range(1, 7)]),
-                     st.floats(min_value=0.34, max_value=4.0)),
+                     st.floats(min_value=math.log(1e-3), max_value=math.log(4.0)).map(math.exp)),
         r=st.integers(min_value=2, max_value=6),
-        alpha=st.floats(min_value=math.log(0.05), max_value=math.log(50.0)).map(math.exp),
+        alpha=st.floats(min_value=math.log(1e-3), max_value=math.log(50.0)).map(math.exp),
+        p=st.floats(min_value=0.05, max_value=1.0),
+        q=st.floats(min_value=0.05, max_value=1.0),
     )
-    def test_bounds_hold(self, mu, r, alpha):
+    # the closed-form intercept's error is 0.99 of its bound here
+    @example(mu=0.9, r=2, alpha=28.5, p=1.0, q=1.0)
+    def test_bounds_hold(self, mu, r, alpha, p, q):
         # the lattice mu = 1/j and mu >= 1/(r-1), outside the printed Lerch form
-        moment = _direct_moment(mu, alpha, r)
-        want = moment / _direct_moment(mu, alpha, 1) ** r - 1
+        mpmath = pytest.importorskip("mpmath")
+        orders = (1, 2, 3, r)
+        if alpha < 0.05:
+            moments = dict(zip(orders, _shift_form(mu, alpha, *orders[1:])))
+        else:
+            moments = {k: _direct_moment(mu, alpha, k) for k in orders}
+        with mpmath.workdps(60):
+            lam = {k: moments[k] / moments[1] ** k - 1 for k in (2, 3, r)}
+            r3 = (lam[3] - 3 * lam[2]) / (2 * lam[2] ** 1.5)
         for method in ("auto", "closed", "oracle"):
-            _assert_within_bound(intercept(mu, alpha, r, method=method), want)
-        _assert_within_bound(r_moment(mu, alpha, r), moment)
-        _assert_within_bound(oracle_moment(mu, alpha, r), moment)
+            _assert_within_bound(intercept(mu, alpha, r, method=method), lam[r])
+        for method in ("auto", "oracle"):
+            _assert_within_bound(r3_function(mu, alpha, method=method), r3)
+        _assert_within_bound(r_moment(mu, alpha, r), moments[r])
+        _assert_within_bound(oracle_moment(mu, alpha, r), moments[r])
+        _assert_within_bound(pq_intercept_result(PQParams(p, q), alpha, r),
+                             _PQBound._reference(p, q, alpha, r))
 
     @pytest.mark.parametrize("mu", [5e-324, 1e-310])
     def test_subnormal_mu(self, mu):
@@ -560,8 +576,9 @@ class TestWholeDomain:
         assert intercept(0.75, 1.0, 3).method == CLOSED_FORM
 
 
-def _shift_form(mu, alpha, r):
-    """60-digit (mean, r-th moment) from the positive-shift Lerch form.
+def _shift_form(mu, alpha, r, *more):
+    """60-digit (mean, r-th moment, and the moment of each order in ``more``)
+    from the positive-shift Lerch form.
 
     M_r = -mu^(-2r) z^r sum_l Atilde_l [Phi(z,1,b_l) - Phi(z,1,b_l+1)] with
     b_l = 1/mu + r - l - 1, exact rational Atilde_l = mu^(r-1) A_l, one
@@ -570,12 +587,13 @@ def _shift_form(mu, alpha, r):
     the cancellation of the sum.
     """
     mpmath = pytest.importorskip("mpmath")
-    dps = 60 + math.ceil(2 * r * max(0.0, -math.log10(mu)))
+    top = max((r, *more))
+    dps = 60 + math.ceil(2 * top * max(0.0, -math.log10(mu)))
     with mpmath.workdps(dps):
         m = mpmath.mpf(mu)
         z = mpmath.exp(-mpmath.mpf(alpha))
         phis = [mpmath.lerchphi(z, 1, 1 / m)]
-        for j in range(r):
+        for j in range(top):
             phis.append((phis[-1] - 1 / (1 / m + j)) / z)
 
         def moment(order):
@@ -586,7 +604,7 @@ def _shift_form(mu, alpha, r):
                 total += a_tilde * (phis[j] - phis[j + 1])
             return -(m ** (-2 * order)) * z**order * total
 
-        return moment(1), moment(r)
+        return tuple(moment(order) for order in (1, r, *more))
 
 
 class TestSmallAlpha:
@@ -707,6 +725,13 @@ class TestTermBudget:
         (lambda: intercept(1e-300, 5e-324, 2), DomainError),
         (lambda: r3_function(1e-300, 5e-324), DomainError),
         (lambda: intercept(1e-200, 1e-250, 3), DomainError),
+        # sums that converge only beyond 2^21 terms: 2.5-10.5 s of summing to a value
+        # under a 10^8-term budget
+        (lambda: oracle_moment(0.0, 1e-6, 2), ConvergenceError),
+        (lambda: mean_occupation(5e-324, 1e-6), ConvergenceError),
+        (lambda: intercept(1e-6, 5e-6, 3), ConvergenceError),
+        (lambda: intercept(0.0, 1e-6, 3, method="oracle"), ConvergenceError),
+        (lambda: r3_function(0.0, 1e-6, method="oracle"), ConvergenceError),
         # the p,q oracle under the mu = 0 oracle's budget rule, as [n]_{p,q} <= n
         (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 1e-9, 2), ConvergenceError),
         (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 5e-324, 2), ConvergenceError),
@@ -742,8 +767,8 @@ class TestTermBudget:
                 return
         assert isinstance(res, CorrelationResult)
 
-    #: no alpha lies in (1e-8, 1e-4), where the p,q oracle's sum converges
-    #: only after 1e6-1e8 terms, seconds of work
+    #: no alpha lies in (1e-8, 1e-4), where the p,q oracle's sum can run out
+    #: its whole 2^21-term budget before it fails, most of a second of work
     FUZZ_ALPHAS = (5e-324, 1e-300, 1e-12, 1e-9, 1e-3, 1.0, 700.0, 1e300, 1.7e308)
     FUZZ_PQ = ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (0.9, 1e-300))
 
