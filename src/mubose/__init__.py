@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 #: the module that defines each public name, imported on the name's first use
 _EXPORTS = {
     "backend_name": "_backend",
+    "curve": "core",
     "intercept": "core",
     "intercept_asymptotic": "core",
     "mean_occupation": "core",

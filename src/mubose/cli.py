@@ -6,8 +6,8 @@ k -> infinity asymptote rows (k field ``inf``) closing each curve.
 Identical invocations therefore produce byte-identical output, which the
 test suite relies on.
 
-Exit codes: 0 success, 1 domain error, 2 convergence failure, 3 some
-grid records failed (failed rows keep their slot with method ``failed``).
+Exit codes: 0 success, 1 domain error or unwritable ``--output``, 2 convergence
+failure, 3 some grid records failed (failed rows keep their slot, method ``failed``).
 
 Each subcommand imports what it uses when it runs, so ``coeffs``,
 ``taylor-diagnose`` and ``pq-compare``, which sum no series, start
@@ -47,7 +47,7 @@ COEFF_HEADER = ("l", "a_l")
 TAYLOR_HEADER = ("s", "partial_sum", "term_magnitude")
 
 
-#: preset -> (quantity, core._curve kind, r, mus): the rows of one figure
+#: preset -> (quantity, core.curve kind, r, mus): the rows of one figure
 _PRESETS = {
     "fig1": ("distribution", "moment", 1, (0.0, 0.1, 0.2)),
     "fig2": ("lambda2", "intercept", 2, (0.1, 0.2)),
@@ -56,6 +56,13 @@ _PRESETS = {
 }
 FIGURE_MUS = {name: preset[3] for name, preset in _PRESETS.items()}
 FIGURE_TEMPS = (120.0, 180.0)
+
+#: point subcommand -> (core.curve kind, quantity, r), None where --order sets it
+_POINTS = {
+    "intercept": ("intercept", None, None),
+    "distribution": ("moment", "distribution", 1),
+    "r3": ("r3", "r3", 3),
+}
 
 
 @dataclass(frozen=True)
@@ -109,46 +116,19 @@ class OutputRecord(NamedTuple):
 
 def _curve_records(quantity: str, curve, momenta: list[float], T: float, mu: float, r: int,
                    tol: float) -> list[OutputRecord]:
-    """The rows of a ``core._curve`` whose points lie at ``momenta``, one row per point.
+    """The rows of a ``core.curve`` whose points lie at ``momenta``, one row per point.
 
     A closed-form or oracle value whose bound exceeds ``tol`` gets the
     method suffix ``+overtol``.  A failed point keeps its row, with nan
     cells and the method ``failed``.
     """
-    import numpy as np
-
-    from . import core
-
-    methods = np.array(core._METHODS, dtype=object)[curve.method]
-    held = np.isin(curve.method, [core._METHODS.index(m) for m in (CLOSED_FORM, ORACLE)])
-    methods[held & (curve.error_bound > tol)] += "+overtol"
+    methods = curve.methods
+    held = (methods == CLOSED_FORM) | (methods == ORACLE)
+    methods[held & (curve.error_bounds > tol)] += "+overtol"
     size = len(momenta)
     return list(map(OutputRecord, repeat(quantity, size), momenta, repeat(T, size),
-                    repeat(mu, size), repeat(r, size), curve.value.tolist(),
-                    curve.error_bound.tolist(), methods.tolist()))
-
-
-def _point_records(quantity: str, kind: str, mu: float, T: float, k: float, mass: float,
-                   r: int, tol: float, methods: tuple[str, ...]) -> list[OutputRecord]:
-    """The row of a ``core._curve`` of ``kind`` at one point for each method in turn.
-
-    A point that fails raises its DomainError or ConvergenceError.  With a
-    second method, the difference of the two rows closes the list.
-    """
-    from . import core
-
-    alpha = ThermoPoint(T, k, mass).alpha
-    records: list[OutputRecord] = []
-    for method in methods:
-        curve = core._curve(kind, mu, (alpha,), r, tol, method)
-        if curve.failures:
-            raise curve.failures[0]
-        records += _curve_records(quantity, curve, [k], T, mu, r, tol)
-    if len(records) == 2:
-        res, other = records
-        records.append(res._replace(value=res.value - other.value, method="difference",
-                                    error_bound=res.error_bound + other.error_bound))
-    return records
+                    repeat(mu, size), repeat(r, size), curve.values.tolist(),
+                    curve.error_bounds.tolist(), methods.tolist()))
 
 
 def _asymptote(T: float, mu: float, r: int, value: float) -> OutputRecord:
@@ -180,7 +160,7 @@ def figure_records(preset: str, grid: GridSpec,
         with np.errstate(over="ignore"):
             alphas = energies / T
         for mu in grid.mus:
-            curve = core._curve(kind, mu, alphas, r, grid.tol, method)
+            curve = core.curve(kind, mu, alphas, r, grid.tol, method)
             for i, exc in sorted(curve.failures.items()):
                 print(f"record (T={T:g}, mu={mu:g}, k={momenta[i]:g}) failed: {exc}",
                       file=sys.stderr)
@@ -192,30 +172,35 @@ def figure_records(preset: str, grid: GridSpec,
     return records, failed
 
 
-def intercept_records(mu: float, T: float, k: float, mass: float, r: int,
-                      tol: float, with_oracle: bool = False,
-                      force_oracle: bool = False) -> list[OutputRecord]:
-    """Single-point intercept, optionally with the oracle cross-check rows."""
-    quantity = {2: "lambda2", 3: "lambda3"}.get(r, "lambda_r")
-    methods = ("oracle" if force_oracle else "auto",) + ("oracle",) * with_oracle
-    return _point_records(quantity, "intercept", mu, T, k, mass, r, tol, methods)
+def point_records(command: str, mu: float, T: float, k: float, mass: float, tol: float,
+                  order: int = 2, with_oracle: bool = False,
+                  force_oracle: bool = False) -> list[OutputRecord]:
+    """The rows of the point subcommand ``command``, a key of ``_POINTS``.
 
-
-def distribution_records(mu: float, T: float, k: float, mass: float,
-                         tol: float, with_oracle: bool = False) -> list[OutputRecord]:
-    """Mean occupation at one point, optionally with the oracle rows."""
-    methods = ("auto",) + ("oracle",) * with_oracle
-    return _point_records("distribution", "moment", mu, T, k, mass, 1, tol, methods)
-
-
-def r3_records(mu: float, T: float, k: float, mass: float, tol: float,
-               force_oracle: bool = False) -> list[OutputRecord]:
-    """The r3 combination at one point plus its asymptote row."""
+    One row per method: ``oracle`` if ``force_oracle``, else ``auto``; then,
+    with ``with_oracle``, the oracle row and the difference of the two.  r3
+    adds its asymptote row.  ``order`` is an intercept's r.  A point that
+    fails raises its DomainError or ConvergenceError.
+    """
     from . import core
 
-    return [*_point_records("r3", "r3", mu, T, k, mass, 3, tol,
-                            ("oracle" if force_oracle else "auto",)),
-            _asymptote(T, mu, 3, core.r3_asymptotic(mu))]
+    kind, quantity, r = _POINTS[command]
+    if r is None:
+        r, quantity = order, {2: "lambda2", 3: "lambda3"}.get(order, "lambda_r")
+    alpha = ThermoPoint(T, k, mass).alpha
+    records: list[OutputRecord] = []
+    for method in ("oracle" if force_oracle else "auto",) + ("oracle",) * with_oracle:
+        curve = core.curve(kind, mu, (alpha,), r, tol, method)
+        if curve.failures:
+            raise curve.failures[0]
+        records += _curve_records(quantity, curve, [k], T, mu, r, tol)
+    if with_oracle:
+        res, other = records
+        records.append(res._replace(value=res.value - other.value, method="difference",
+                                    error_bound=res.error_bound + other.error_bound))
+    if kind == "r3":
+        records.append(_asymptote(T, mu, r, core.r3_asymptotic(mu)))
+    return records
 
 
 def pq_records(p: float, q: float, T: float, k: float, mass: float,
@@ -379,6 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_r3)
     p_r3.add_argument("--oracle", action="store_true",
                       help="force the series-oracle route, at mu = 0 too")
+    # every point subcommand passes point_records the same fields
+    p_dist.set_defaults(order=None, oracle=False)
+    p_r3.set_defaults(order=None, with_oracle=False)
 
     p_co = sub.add_parser("coeffs", help="partial-fraction coefficients A^(r)_l")
     p_co.add_argument("--order", type=int, required=True, help="product order r")
@@ -433,16 +421,9 @@ def main(argv: list[str] | None = None) -> int:
                 mass=args.mass, tol=args.tol,
             )
             rows, failed = figure_records(args.preset, grid, args.oracle)
-        elif args.command == "intercept":
-            rows = intercept_records(args.mu, args.temperature, args.momentum,
-                                     args.mass, args.order, args.tol,
-                                     args.with_oracle, args.oracle)
-        elif args.command == "distribution":
-            rows = distribution_records(args.mu, args.temperature, args.momentum,
-                                        args.mass, args.tol, args.with_oracle)
-        elif args.command == "r3":
-            rows = r3_records(args.mu, args.temperature, args.momentum,
-                              args.mass, args.tol, args.oracle)
+        elif args.command in _POINTS:
+            rows = point_records(args.command, args.mu, args.temperature, args.momentum,
+                                 args.mass, args.tol, args.order, args.with_oracle, args.oracle)
         elif args.command == "coeffs":
             header, rows = COEFF_HEADER, coeff_rows(args.order, args.mu)
         elif args.command == "taylor-diagnose":
@@ -453,14 +434,20 @@ def main(argv: list[str] | None = None) -> int:
             header, rows = PQ_HEADER, pq_records(
                 args.p, args.q, args.temperature, args.momentum, args.mass,
                 args.order)
-        _emit(render(rows, header, args.format), args.output)
-        return 3 if failed else 0
+        text = render(rows, header, args.format)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        where = "stdout" if args.output is None else args.output
+        print(f"cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

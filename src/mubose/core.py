@@ -19,7 +19,7 @@ import functools
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _route(kind: str, mu: float, r: int, tol: float, method: str) -> str | None:
     return None if mu == 0.0 and method != "oracle" else method
 
 
-def _series_closed(mu: float, r: int, tol: float, route: str) -> bool:
+def _series_closed(mu: float, r: int, tol: float, route: str) -> bool | DomainError:
     """Whether a curve's points that need a series take the closed series.
 
     Both series hold for every mu > 0.  The kernel bounds the closed
@@ -107,15 +107,15 @@ def _series_closed(mu: float, r: int, tol: float, route: str) -> bool:
     ``kernels.closed_condition``, estimates the ratio of the whole sum.
     ``auto`` takes the closed series wherever that estimate puts the
     roundoff within half of ``tol``, and the oracle elsewhere.  A forced
-    closed series whose estimate is infinite cannot be formed and raises.
+    closed series whose estimate is infinite cannot be formed and returns its DomainError.
     """
     if route == "oracle":
         return False
     kappa = kernels.closed_condition(mu, r)
     if route == "closed":
         if kappa == math.inf:
-            raise DomainError(f"the closed form at mu={mu}, r={r} cancels beyond the "
-                              "double range; use the oracle")
+            return DomainError(f"the closed form at mu={mu}, r={r} cancels beyond the "
+                               "double range; use the oracle")
         return True
     return kappa * kernels.EPS * (2 * r + 6) * _CONDITION_SAFETY <= tol
 
@@ -131,33 +131,32 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Curve:
-    """The results of a curve as arrays, one slot per alpha.
+class Curve:
+    """The results of a :func:`curve` as arrays, one slot per alpha.
 
-    ``method`` holds each point's index into ``_METHODS``.  A failed point
-    keeps its slot with a nan value and bound and the method ``failed``;
-    its DomainError or ConvergenceError is in ``failures`` under its index.
+    Each slot holds the value, error_bound and method tag of a point.  A
+    failed point keeps its slot with a nan value and bound and the method
+    ``failed``; its DomainError or ConvergenceError is in ``failures``.
     """
 
-    value: np.ndarray
-    error_bound: np.ndarray
-    method: np.ndarray
+    values: np.ndarray
+    error_bounds: np.ndarray
+    #: each point's index into ``_METHODS``, which ranks the tags
+    _codes: np.ndarray = field(repr=False)
     failures: dict[int, DomainError | ConvergenceError]
 
-    @classmethod
-    def empty(cls, size: int) -> _Curve:
-        """A curve whose every slot awaits a result or a failure."""
-        return cls(np.full(size, np.nan), np.full(size, np.nan),
-                   np.full(size, _FAILED, dtype=np.int8), {})
+    @property
+    def methods(self) -> np.ndarray:
+        return np.array(_METHODS, dtype=object)[self._codes]
 
-    def put(self, idx: np.ndarray, value, error_bound, method: int) -> None:
-        self.value[idx] = value
-        self.error_bound[idx] = error_bound
-        self.method[idx] = method
+    def _put(self, idx: np.ndarray, value, error_bound, code: int) -> None:
+        self.values[idx] = value
+        self.error_bounds[idx] = error_bound
+        self._codes[idx] = code
 
-    def fail(self, idx, exc: DomainError | ConvergenceError) -> None:
+    def _fail(self, idx, exc: DomainError | ConvergenceError) -> None:
         """Fail the slot ``idx``, or every slot of an index array, with ``exc``."""
-        self.put(idx, np.nan, np.nan, _FAILED)
+        self._put(idx, np.nan, np.nan, _FAILED)
         self.failures.update(dict.fromkeys(np.atleast_1d(idx).tolist(), exc))
 
 
@@ -215,7 +214,7 @@ def _beyond_budget(mu: float, a: Sequence[float], r: int, rtol: float,
 
 
 def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, route: str,
-          series, curve: _Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+          series, out: Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(value, error, method code, converged) of the r-th moment at ``alphas[todo]``.
 
     Unless the route is ``oracle``, each point with
@@ -224,8 +223,8 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
     grow as alpha falls; a point whose bound meets rtol |value| plus the
     final rounding to double keeps it, tagged closed form.  The points
     left are summed in one call of the series that ``series()`` names
-    (:func:`_series_closed`, rated once the expansion has taken its
-    points); where it raises, they fail with its DomainError.
+    (:func:`_series_closed`, rated once per curve, when a sum first needs
+    it); where it is a DomainError, they fail with it.
 
     A series sum also stops once its tail is below ``_TINY``, which no
     double result can resolve: a moment below the long-double range sums
@@ -233,7 +232,7 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
     the absolute error of a value that underflows as it is rounded to a
     double.  A point whose sum would use, or used, the whole term budget
     has not converged (see :func:`_beyond_budget`), and its slot of
-    ``curve`` fails with a ConvergenceError.
+    ``out`` fails with a ConvergenceError.
     """
     a = alphas[todo]
     value, err = np.empty(a.size), np.empty(a.size)
@@ -251,10 +250,9 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
             rest = np.setdiff1d(rest, near[ok], assume_unique=True)
     if not rest.size:
         return value, err + _TINY, code, converged
-    try:
-        closed = series()
-    except DomainError as exc:
-        curve.fail(todo[rest], exc)
+    closed = series()
+    if isinstance(closed, DomainError):
+        out._fail(todo[rest], closed)
         converged[rest] = False
         return value, err + _TINY, code, converged
     if closed:
@@ -269,7 +267,7 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
         value[run], err[run], terms = sums(mu, a[run], r, rtol, _TINY, MAX_TERMS)
         converged[run[terms >= MAX_TERMS]] = False
     for i in np.flatnonzero(~converged).tolist():
-        curve.fail(int(todo[i]), _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(a[i]), r=r))
+        out._fail(int(todo[i]), _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(a[i]), r=r))
     return value, err + _TINY, code, converged
 
 
@@ -296,7 +294,7 @@ def _exact(kind: str, alphas: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarra
     the subnormal range are rounded to a grid of spacing ``_TINY``, so
     each bound adds that absolute error, times (r+1)! for the
     r! / (e^alpha - 1)^r of a higher moment.  A value beyond the double
-    range is inf, which :func:`_curve` fails with a DomainError.
+    range is inf, which :func:`curve` fails with a DomainError.
     """
     if kind == "intercept":
         return np.full(alphas.size, float(math.factorial(r) - 1)), np.zeros(alphas.size)
@@ -309,15 +307,16 @@ def _exact(kind: str, alphas: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarra
     return value, err
 
 
-def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
-           tol: float, method: str = "auto") -> _Curve:
+def curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int = 1,
+          tol: float = DEFAULT_TOL, method: str = "auto") -> Curve:
     """The results at every alpha of a curve at fixed (mu, r, tol, method), routed by _route.
 
     ``kind`` is ``"moment"`` (:func:`r_moment`; the mean at r = 1),
-    ``"intercept"`` or ``"r3"`` (:func:`r3_function`, through :func:`_r3_curve`;
-    ``r`` is not used).  Each kernel sums all of its points in one call.
-    An intercept's mean and moment take the series route rated at order r,
-    and its method tag is the larger of theirs.  An invalid mu raises.
+    ``"intercept"`` (:func:`intercept`) or ``"r3"`` (:func:`r3_function`;
+    ``r`` is not used).  Each slot equals the one-point call at its alpha,
+    and each kernel sums all of its points in one call.  An intercept's
+    mean and moment take the series route rated once at order r, and its
+    method tag is the larger of theirs.  An invalid kind or mu raises.
     Every other failure is kept in the slot of its point, in the precedence
     of a one-point call: an invalid alpha, the route's DomainError (order,
     tolerance or method), the point's DomainError (a forced closed series
@@ -326,44 +325,47 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
     """
     if kind == "r3":
         return _r3_curve(d, alphas, tol, method)
+    if kind not in ("moment", "intercept"):
+        raise DomainError(f"unknown curve kind {kind!r}")
     mu = _as_mu(d)
     a = np.asarray(alphas, dtype=float)
-    curve = _Curve.empty(a.size)
+    out = Curve(np.full(a.size, np.nan), np.full(a.size, np.nan),
+                np.full(a.size, _FAILED, dtype=np.int8), {})
     valid = (a > 0.0) & np.isfinite(a)
     for i in np.flatnonzero(~valid).tolist():
         try:
             _check_positive(alphas[i], "alpha")
         except DomainError as exc:
-            curve.fail(i, exc)
+            out._fail(i, exc)
     todo = np.flatnonzero(valid)
     try:
         route = _route(kind, mu, r, tol, method)
     except DomainError as exc:
-        curve.fail(todo, exc)
-        return curve
-    series = functools.partial(_series_closed, mu, r, tol, route)
+        out._fail(todo, exc)
+        return out
+    series = functools.cache(functools.partial(_series_closed, mu, r, tol, route))
     if route is None:
         value, err = _exact(kind, a[todo], r)
         tag, finite = np.full(todo.size, _METHODS.index(CLOSED_FORM), np.int8), np.isfinite(value)
     elif kind == "moment":
-        value, err, tag, ok = _sums(mu, a, todo, r, tol, route, series, curve)
+        value, err, tag, ok = _sums(mu, a, todo, r, tol, route, series, out)
         # where z^r underflows the closed series sums to -0.0; + 0.0 makes it 0.0
         todo, value, err, tag = todo[ok], value[ok] + 0.0, err[ok], tag[ok]
         finite = np.isfinite(value)
     else:
         part_tol = tol / (2.0 * (r + 1))
-        mean, mean_err, tag, ok = _sums(mu, a, todo, 1, part_tol, route, series, curve)
+        mean, mean_err, tag, ok = _sums(mu, a, todo, 1, part_tol, route, series, out)
         todo, mean, mean_err, tag = todo[ok], mean[ok], mean_err[ok], tag[ok]
         under = mean < UNDERFLOW_FLOOR ** (1.0 / r)
         if under.any():
             value = intercept_asymptotic(mu, r)
             err = ((value + 1.0) * (r * r + r) * np.maximum(mean[under], 0.0)
                    + 8.0 * DBL_EPS * (abs(value) + 1.0))
-            curve.put(todo[under], value, err, _METHODS.index(ASYMPTOTIC))
+            out._put(todo[under], value, err, _METHODS.index(ASYMPTOTIC))
             log.info("intercept(mu=%g, r=%d): occupation underflow at %d of %d alphas, "
                      "returning the asymptotic value", mu, r, under.sum(), a.size)
             todo, mean, mean_err, tag = todo[~under], mean[~under], mean_err[~under], tag[~under]
-        mom, mom_err, mom_tag, ok = _sums(mu, a, todo, r, part_tol, route, series, curve)
+        mom, mom_err, mom_tag, ok = _sums(mu, a, todo, r, part_tol, route, series, out)
         todo, mean, mean_err, mom, mom_err = todo[ok], mean[ok], mean_err[ok], mom[ok], mom_err[ok]
         tag = np.maximum(tag[ok], mom_tag[ok])
         mean_r = _libm(functools.partial(_pow, r=r), mean)
@@ -373,18 +375,18 @@ def _curve(kind: str, d: DeformationMu | float, alphas: Sequence[float], r: int,
         # a moment that cancels to 0 (a forced closed form at tiny mu) has no relative bound
         err[mom == 0.0] = np.inf
         value, finite = ratio - 1.0, np.isfinite(mom) & np.isfinite(mean_r)
-    curve.put(todo[finite], value[finite], err[finite], tag[finite])
+    out._put(todo[finite], value[finite], err[finite], tag[finite])
     for i in todo[~finite].tolist():
-        curve.fail(i, _beyond_range(f"the {kind}", mu=mu, alpha=alphas[i], r=r))
-    return curve
+        out._fail(i, _beyond_range(f"the {kind}", mu=mu, alpha=alphas[i], r=r))
+    return out
 
 
-def _point(curve: _Curve) -> CorrelationResult:
+def _point(one: Curve) -> CorrelationResult:
     """The result of a one-point curve, raising its failure."""
-    if curve.failures:
-        raise curve.failures[0]
-    return CorrelationResult(float(curve.value[0]), float(curve.error_bound[0]),
-                             _METHODS[curve.method[0]])
+    if one.failures:
+        raise one.failures[0]
+    return CorrelationResult(float(one.values[0]), float(one.error_bounds[0]),
+                             _METHODS[one._codes[0]])
 
 
 def mean_occupation(d: DeformationMu | float, alpha: float,
@@ -396,7 +398,7 @@ def mean_occupation(d: DeformationMu | float, alpha: float,
     evaluated through its cancellation-free rearrangement, whose series
     ``auto`` takes for every tol above about 1.7e-18.
     """
-    return _point(_curve("moment", d, (alpha,), 1, tol))
+    return _point(curve("moment", d, (alpha,), 1, tol))
 
 
 def r_moment(d: DeformationMu | float, alpha: float, r: int,
@@ -410,13 +412,13 @@ def r_moment(d: DeformationMu | float, alpha: float, r: int,
     elsewhere the direct series takes over and the result is tagged
     ``oracle``.  mu = 0 is exactly r! / (e^alpha - 1)^r.
     """
-    return _point(_curve("moment", d, (alpha,), r, tol))
+    return _point(curve("moment", d, (alpha,), r, tol))
 
 
 def oracle_moment(d: DeformationMu | float, alpha: float, r: int,
                   tol: float = DEFAULT_TOL) -> CorrelationResult:
     """Brute-force r-th moment (1-z) sum_n z^n prod_{l<r} phi(n-l), mu = 0 included."""
-    return _point(_curve("moment", d, (alpha,), r, tol, "oracle"))
+    return _point(curve("moment", d, (alpha,), r, tol, "oracle"))
 
 
 def intercept_asymptotic(d: DeformationMu | float, r: int) -> float:
@@ -459,7 +461,7 @@ def intercept(d: DeformationMu | float, alpha: float, r: int,
     ``UNDERFLOW_FLOOR``) the asymptotic value is returned with method
     tag ``asymptotic``.
     """
-    return _point(_curve("intercept", d, (alpha,), r, tol, method))
+    return _point(curve("intercept", d, (alpha,), r, tol, method))
 
 
 def _r3_combine(l2, l3, l2_pow15):
@@ -507,39 +509,39 @@ def _r3_error(l2: float, e2: float, l3: float, e3: float) -> DomainError:
 
 
 def _r3_curve(d: DeformationMu | float, alphas: Sequence[float], tol: float,
-              method: str = "auto") -> _Curve:
-    """:func:`r3_function` at every alpha, failures in their slots as in :func:`_curve`
+              method: str) -> Curve:
+    """:func:`r3_function` at every alpha, failures in their slots as in :func:`curve`
     (where lambda2 and lambda3 both fail, lambda2's)."""
     sub_tol = tol / 16.0
-    out = _curve("intercept", d, alphas, 2, sub_tol, method)
-    lam3 = _curve("intercept", d, alphas, 3, sub_tol, method)
+    out = curve("intercept", d, alphas, 2, sub_tol, method)
+    lam3 = curve("intercept", d, alphas, 3, sub_tol, method)
     for j in lam3.failures.keys() - out.failures.keys():
-        out.fail(j, lam3.failures[j])
-    idx = np.flatnonzero(out.method != _FAILED)
-    l2, e2 = out.value[idx], out.error_bound[idx]
-    l3, e3 = lam3.value[idx], lam3.error_bound[idx]
-    merged = np.maximum(out.method[idx], lam3.method[idx])
+        out._fail(j, lam3.failures[j])
+    idx = np.flatnonzero(out._codes != _FAILED)
+    l2, e2 = out.values[idx], out.error_bounds[idx]
+    l3, e3 = lam3.values[idx], lam3.error_bounds[idx]
+    merged = np.maximum(out._codes[idx], lam3._codes[idx])
     pow15, pow25 = np.full(l2.size, np.nan), np.full(l2.size, np.nan)
     positive = l2 > 0.0
     pow15[positive] = _libm(lambda x: x**1.5, l2[positive])
     pow25[positive] = _libm(lambda x: x**2.5, l2[positive])
     usable = _r3_usable(l2, e2, l3, e3, pow25)
     for j in np.flatnonzero(~usable).tolist():
-        out.fail(int(idx[j]), _r3_error(float(l2[j]), float(e2[j]), float(l3[j]), float(e3[j])))
+        out._fail(int(idx[j]), _r3_error(float(l2[j]), float(e2[j]), float(l3[j]), float(e3[j])))
     idx, l2, e2, l3, e3, merged, pow15, pow25 = (
         x[usable] for x in (idx, l2, e2, l3, e3, merged, pow15, pow25))
     value = _r3_combine(l2, l3, pow15)
     d3 = 1.0 / (2.0 * pow15)
     d2 = -3.0 / (2.0 * pow15) - 3.0 * (l3 - 3.0 * l2) / (4.0 * pow25)
     err = np.abs(d3) * e3 + np.abs(d2) * e2 + 8.0 * DBL_EPS * (np.abs(value) + 1.0)
-    out.put(idx, value, err, merged)
+    out._put(idx, value, err, merged)
     return out
 
 
 def r3_function(d: DeformationMu | float, alpha: float,
                 tol: float = DEFAULT_TOL, method: str = "auto") -> CorrelationResult:
     """Normalised three-particle combination (lambda3 - 3 lambda2) / (2 lambda2^(3/2))."""
-    return _point(_r3_curve(d, (alpha,), tol, method))
+    return _point(curve("r3", d, (alpha,), tol=tol, method=method))
 
 
 def r3_asymptotic(d: DeformationMu | float) -> float:

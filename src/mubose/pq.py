@@ -95,17 +95,20 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
     [r]! (1-z) z^r / prod_j (1 - p^j q^(r-j) z), which underflows
     gracefully at large alpha instead of overflowing e^alpha.  Every
     factor 1 - c z, 1 - z included, is formed by :func:`_one_minus`.
+    The quotient (1-z) / (1 - p^r z) is formed first and multiplied last,
+    so at p = 1 it is exactly 1 even where 1 - z is subnormal.
     A moment beyond the double range (alpha -> 0 at p = q = 1) raises DomainError.
     """
     _check_positive(alpha, "alpha")
     _check_order(r)
     log_p, log_q = math.log(pq.p), math.log(pq.q)
     z = math.exp(-alpha)
-    value = pq_factorial(r, pq) * _one_minus(0.0, alpha)
+    value = pq_factorial(r, pq)
     for n in range(r):
         value *= z
-    for j in range(r + 1):
+    for j in range(r):
         value /= _one_minus(j * log_p + (r - j) * log_q, alpha)
+    value *= _one_minus(0.0, alpha) / _one_minus(r * log_p, alpha)
     if not math.isfinite(value):
         raise _beyond_range(f"the p,q moment of order {r}", p=pq.p, q=pq.q, alpha=alpha)
     return value

@@ -4,19 +4,45 @@ import importlib.util
 from pathlib import Path
 
 import mubose
-from mubose import _kernels_py
+from mubose import _kernels_py, cli
 from mubose._backend import kernels
 from mubose.errors import MAX_TERMS
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _benchmark_kernel_names():
-    """The kernel names the benchmark's tracer wraps, read from ``perfbench/tracing.py``."""
+def _tracing():
+    """The benchmark's tracer module, loaded from ``perfbench/tracing.py``."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.KERNELS
+    return module
+
+
+def _benchmark_kernel_names():
+    """The kernel names the benchmark's tracer wraps."""
+    return _tracing().KERNELS
+
+
+def test_tracer_sees_each_figure_curve(capsys):
+    # the tracer wraps every public core function and reads a core result's
+    # ``method`` as one route tag, so a curve carries its tags as ``methods``
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["figure", "fig4", "--k-steps", "11"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = tracer.spans
+    # one r3 curve per (T, mu), each over its two intercept curves
+    called_by_cli = [name for name, _, _, parent, *_ in spans
+                     if name == "core.curve" and spans[parent][0].startswith("cli.")]
+    assert len(called_by_cli) == 4
+    assert [span[0] for span in spans].count("core.curve") == 12
+    metrics, _ = tracing.summarize(spans)
+    assert metrics["cli.rows"] == 48
 
 
 def test_active_backend_is_labelled():

@@ -18,8 +18,8 @@ from mubose.cli import (
     GridSpec,
     _json_cell,
     figure_records,
-    intercept_records,
     main,
+    point_records,
     pq_records,
     render,
 )
@@ -176,8 +176,8 @@ class TestIntercept:
         args = ["--mu", "0.5", "--temperature", "120", "-k", "0", "--order", "3"]
         assert main(["intercept", *args, "--oracle"]) == 0
         assert parse_csv(capsys.readouterr().out)[0]["method"] == "oracle"
-        (row,) = intercept_records(0.5, 120.0, 0.0, 139.57, 3, core.DEFAULT_TOL,
-                                   force_oracle=True)
+        (row,) = point_records("intercept", 0.5, 120.0, 0.0, 139.57, core.DEFAULT_TOL, 3,
+                               force_oracle=True)
         closed = core.intercept(0.5, 139.57 / 120.0, 3, method="closed")
         assert abs(row.value - closed.value) <= row.error_bound + closed.error_bound
 
@@ -494,6 +494,18 @@ class TestEndToEnd:
         assert out.returncode == 0
         data = json.loads(target.read_text())
         assert {row["quantity"] for row in data} == {"r3", "asymptote"}
+
+    @pytest.mark.parametrize("args, target", [
+        (("figure", "fig1", "--k-steps", "3"), ""),
+        (("coeffs", "--order", "3", "--mu", "0.5"), "missing/x.csv")])
+    def test_unwritable_output(self, tmp_path, args, target):
+        # a directory, or a file in a directory that does not exist
+        path = str(tmp_path / target)
+        out = run_cli(*args, "--output", path)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.count("\n") == 1 and path in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_package_runs_as_module(self):
         args = ("intercept", "--mu", "0.1")

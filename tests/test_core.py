@@ -211,10 +211,10 @@ class TestBoseBeyondDoubleRangeSmallAlpha:
         _assert_within_bound(mean_occupation(0.0, 1e-300), _bose_moment(1e-300, 1))
 
     def test_failures_keep_their_slots(self):
-        curve = core._curve("moment", 0.0, [1.0, 1e-200, math.nan], 2, 1e-12)
+        curve = core.curve("moment", 0.0, [1.0, 1e-200, math.nan], 2, 1e-12)
         assert sorted(curve.failures) == [1, 2]
         assert "beyond the double range" in str(curve.failures[1])
-        assert curve.value[0] == r_moment(0.0, 1.0, 2).value
+        assert curve.values[0] == r_moment(0.0, 1.0, 2).value
 
 
 def _direct_moment(mu, alpha, r):
@@ -824,20 +824,20 @@ class TestCurveSlots:
 
     @staticmethod
     def _assert_slots(curve, one_point, alphas):
-        assert len(curve.value) == len(curve.error_bound) == len(curve.method) == len(alphas)
+        assert len(curve.values) == len(curve.error_bounds) == len(curve.methods) == len(alphas)
         for i, alpha in enumerate(alphas):
             try:
                 want = one_point(alpha)
             except (DomainError, ConvergenceError) as exc:
                 got = curve.failures[i]
                 assert type(got) is type(exc) and str(got) == str(exc), alpha
-                assert math.isnan(curve.value[i]) and math.isnan(curve.error_bound[i])
-                assert core._METHODS[curve.method[i]] == "failed"
+                assert math.isnan(curve.values[i]) and math.isnan(curve.error_bounds[i])
+                assert curve.methods[i] == "failed"
                 continue
             assert i not in curve.failures, alpha
-            assert float(curve.value[i]).hex() == want.value.hex(), alpha
-            assert float(curve.error_bound[i]).hex() == want.error_bound.hex(), alpha
-            assert core._METHODS[curve.method[i]] == want.method, alpha
+            assert float(curve.values[i]).hex() == want.value.hex(), alpha
+            assert float(curve.error_bounds[i]).hex() == want.error_bound.hex(), alpha
+            assert curve.methods[i] == want.method, alpha
         assert set(curve.failures) <= set(range(len(alphas)))
 
     @pytest.mark.parametrize("mu", [0.0, 0.1, 0.45, 1e-6])
@@ -848,7 +848,7 @@ class TestCurveSlots:
         # a route error fails every valid slot, after the invalid alphas
         ("intercept", 1, "auto"), ("intercept", 2, "magic"), ("moment", 0, "auto")])
     def test_curve(self, kind, r, method, mu):
-        curve = core._curve(kind, mu, self.ALPHAS, r, 1e-12, method)
+        curve = core.curve(kind, mu, self.ALPHAS, r, 1e-12, method)
         self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
                            self.ALPHAS)
 
@@ -859,7 +859,7 @@ class TestCurveSlots:
         # lambda2 has a closed form, lambda3 none: a route error after lambda2
         (1e-100, "closed")])
     def test_r3_curve(self, mu, method):
-        curve = core._r3_curve(mu, self.ALPHAS, 1e-12, method)
+        curve = core.curve("r3", mu, self.ALPHAS, tol=1e-12, method=method)
         self._assert_slots(curve, lambda a: r3_function(mu, a, 1e-12, method), self.ALPHAS)
 
     #: the z -> 1 expansion, the series beyond its reach, and an invalid alpha
@@ -870,7 +870,7 @@ class TestCurveSlots:
         pytest.param("moment", 1, "auto", id="mean-1-auto"), ("moment", 3, "auto"),
         ("intercept", 2, "auto"), ("intercept", 3, "closed")])
     def test_small_alpha_curve(self, kind, r, method, mu):
-        curve = core._curve(kind, mu, self.SMALL_ALPHAS, r, 1e-12, method)
+        curve = core.curve(kind, mu, self.SMALL_ALPHAS, r, 1e-12, method)
         self._assert_slots(curve, lambda a: self.ONE_POINT[kind](mu, a, r, 1e-12, method),
                            self.SMALL_ALPHAS)
 
@@ -881,7 +881,7 @@ class TestCurveSlots:
         ("moment", 1, "auto"), ("moment", 2, "auto"), ("intercept", 2, "auto"),
         ("intercept", 3, "auto")])
     def test_beyond_double_range_fails_in_place(self, kind, r, method):
-        curve = core._curve(kind, 1e-300, self.TINY_MU_ALPHAS, r, 1e-12, method)
+        curve = core.curve(kind, 1e-300, self.TINY_MU_ALPHAS, r, 1e-12, method)
         if r > 1:
             assert "beyond the double range" in str(curve.failures[0])
         self._assert_slots(curve, lambda a: self.ONE_POINT[kind](1e-300, a, r, 1e-12, method),
@@ -892,15 +892,15 @@ class TestCurveSlots:
         # r = 2 moment and lambda3 on its r = 3 moment
         monkeypatch.setattr(core, "MAX_TERMS", 40)
         alphas = [0.8, 8.4]
-        lam2 = core._curve("intercept", 0.1, alphas, 2, 1e-12 / 16)
-        lam3 = core._curve("intercept", 0.1, alphas, 3, 1e-12 / 16)
+        lam2 = core.curve("intercept", 0.1, alphas, 2, 1e-12 / 16)
+        lam3 = core.curve("intercept", 0.1, alphas, 3, 1e-12 / 16)
         assert str(lam2.failures[0]) != str(lam3.failures[0])
-        curve = core._r3_curve(0.1, alphas, 1e-12)
+        curve = core.curve("r3", 0.1, alphas, tol=1e-12)
         assert str(curve.failures[0]) == str(lam2.failures[0])
         self._assert_slots(curve, lambda a: r3_function(0.1, a, 1e-12), alphas)
 
     def test_r3_kind(self):
-        curve = core._curve("r3", 0.2, self.ALPHAS, 3, 1e-12, "oracle")
+        curve = core.curve("r3", 0.2, self.ALPHAS, 3, 1e-12, "oracle")
         self._assert_slots(curve, lambda a: r3_function(0.2, a, 1e-12, "oracle"), self.ALPHAS)
 
     def test_convergence_failures_keep_their_slots(self, monkeypatch):
@@ -909,12 +909,12 @@ class TestCurveSlots:
         alphas = [0.05, 8.4, math.nan, 0.3, 40.0, 1.0]
         for kind, r, method in (("moment", 1, "auto"), ("moment", 3, "oracle"),
                                 ("intercept", 2, "auto")):
-            curve = core._curve(kind, 0.1, alphas, r, 1e-12, method)
+            curve = core.curve(kind, 0.1, alphas, r, 1e-12, method)
             assert 0 < len(curve.failures) < len(alphas)
             assert any(isinstance(exc, ConvergenceError) for exc in curve.failures.values())
             self._assert_slots(curve, lambda a: self.ONE_POINT[kind](0.1, a, r, 1e-12, method),
                                alphas)
-        curve = core._r3_curve(0.1, alphas, 1e-12)
+        curve = core.curve("r3", 0.1, alphas, tol=1e-12)
         self._assert_slots(curve, lambda a: r3_function(0.1, a, 1e-12), alphas)
 
     def test_moment_cancelling_to_zero(self):
@@ -925,7 +925,31 @@ class TestCurveSlots:
             res = intercept(1e-100, 0.5, 2, method="closed")
         assert res.error_bound == math.inf and res.method == CLOSED_FORM
 
+    def test_series_rated_once_per_curve(self, monkeypatch):
+        # the mean and the moment of an intercept share one rating of the series
+        rated, kappa = [], kernels.closed_condition
+
+        def closed_condition(mu, r):
+            rated.append(r)
+            return kappa(mu, r)
+
+        monkeypatch.setattr(kernels, "closed_condition", closed_condition)
+        alphas = [0.5, 1.163, 8.4]
+        for kind, r, want in (("intercept", 2, [2]), ("intercept", 3, [3]), ("r3", 3, [2, 3])):
+            rated.clear()
+            core.curve(kind, 0.1, alphas, r)
+            assert rated == want, kind
+        # a closed form that cannot be formed fails every slot that needs it, rated once
+        rated.clear()
+        curve = core.curve("intercept", 1e-100, alphas, 3, method="closed")
+        assert rated == [3] and sorted(curve.failures) == [0, 1, 2]
+        assert all("cancels beyond" in str(exc) for exc in curve.failures.values())
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown curve kind"):
+            core.curve("lambda", 0.1, [1.0], 2)
+
     def test_empty_curve(self):
-        curve = core._curve("intercept", 0.1, [], 2, 1e-12)
-        assert curve.value.size == 0 and not curve.failures
-        assert core._r3_curve(0.1, [], 1e-12).value.size == 0
+        curve = core.curve("intercept", 0.1, [], 2, 1e-12)
+        assert curve.values.size == 0 and not curve.failures
+        assert core.curve("r3", 0.1, [], tol=1e-12).values.size == 0

@@ -122,6 +122,38 @@ class TestMoment:
         with pytest.raises(DomainError):
             pq_moment(PQParams(0.9, 0.7), 1.0, 0)
 
+    def test_subnormal_gap_at_p_one(self):
+        # 1 - z = 5e-324 multiplied in first rounded on the subnormal grid: 6.0
+        assert pq_moment(PQParams(1.0, 0.5), 5e-324, 2) == 4.0
+
+    @pytest.mark.parametrize("p, q", [(1.0, 0.5), (1.0, 1e-3), (0.999, 0.2), (0.5, 0.5),
+                                      (0.9, 0.7), (0.3, 0.3), (1e-300, 1e-300), (0.6, 1e-200)])
+    def test_reference_grid(self, p, q):
+        mp = pytest.importorskip("mpmath")
+        alphas = (5e-324, 1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 1.0, 5.0, 50.0, 300.0, 700.0)
+        with mp.workdps(60):
+            mp_p, mp_q = mp.mpf(p), mp.mpf(q)
+            for alpha in alphas:
+                a = mp.mpf(alpha)
+
+                def one_minus(c):
+                    # 1 - c z as -expm1(ln c - alpha): at 60 digits z rounds to 1 below 1e-60
+                    return -mp.expm1(mp.log(c) - a)
+
+                for r in range(1, 9):
+                    want = mp.exp(-r * a) * one_minus(1)
+                    for n in range(1, r + 1):
+                        want *= sum(mp_p**j * mp_q ** (n - 1 - j) for j in range(n))
+                    for j in range(r + 1):
+                        want /= one_minus(mp_p**j * mp_q ** (r - j))
+                    if want > sys.float_info.max:
+                        with pytest.raises(DomainError, match="double range"):
+                            pq_moment(PQParams(p, q), alpha, r)
+                        continue
+                    got = pq_moment(PQParams(p, q), alpha, r)
+                    if want >= sys.float_info.min:
+                        assert abs(got - want) <= 8 * sys.float_info.epsilon * want, (alpha, r)
+
 
 class TestIntercept:
     def test_bose_limit(self):
