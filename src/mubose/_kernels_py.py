@@ -15,7 +15,9 @@ is bounded by one geometric tail, :func:`_geometric_tail`.
 ``closed_moment_sums``, ``oracle_moment_sums`` and
 ``closed_moment_expansion`` evaluate a whole curve and return the triple
 as arrays over alpha (float64, float64, int64); the other kernels are
-one-point sums and return Python numbers.
+one-point sums and return Python numbers.  A kernel that sums to a
+tolerance refuses a row whose stopping test cannot pass within ``max_terms``
+terms (:func:`_refused`): it reports ``max_terms`` terms and an infinite bound.
 """
 
 from __future__ import annotations
@@ -121,8 +123,8 @@ _FIRST_WIDTH = 16
 _BLOCK_CELLS = 2**12
 
 
-def _sum_rows(rows: int, max_terms: int, block, state: list) -> np.ndarray:
-    """Drive the series sum of every row (alpha point) block by block.
+def _sum_rows(max_terms: int, block, state: list, refused: np.ndarray) -> np.ndarray:
+    """Drive the series sum of every row (alpha point) not ``refused``, block by block.
 
     ``block(active, first, width)`` sums terms ``first .. first+width-1``
     of the rows ``active`` and returns ``(stop, cols)``: ``stop[i, j]``
@@ -138,10 +140,11 @@ def _sum_rows(rows: int, max_terms: int, block, state: list) -> np.ndarray:
     running all have the same number of terms, so the alpha-independent
     factors of a block are computed once for all of them.  Blocks arrive
     in order of their terms, so a block may carry a recurrence on from
-    the one before.  Returns the terms used per row.
+    the one before.  A refused row keeps its initial ``state`` and reports
+    ``max_terms`` terms.  Returns the terms used per row.
     """
-    terms = np.zeros(rows, dtype=np.int64)
-    active = np.arange(rows)
+    terms = np.where(refused, max_terms, 0).astype(np.int64)
+    active = np.flatnonzero(~refused)
     first, width = 0, _FIRST_WIDTH
     while active.size:
         w = max(1, min(width, _BLOCK_CELLS // active.size, max_terms - first))
@@ -158,6 +161,25 @@ def _sum_rows(rows: int, max_terms: int, block, state: list) -> np.ndarray:
         first += w
         width *= 2
     return terms
+
+
+def _refused(alpha, r: int, max_terms: int, rtol: float, atol: float, bounds) -> np.ndarray:
+    """The rows whose test tail <= max(atol, rtol |partial value|) cannot pass within the budget.
+
+    ``bounds()`` gives per row the logarithms of a kernel's tail bound after
+    the budget, below every earlier finite one, and of a bound on |partial
+    value|.  A row is refused where that tail exceeds twice (for rounding)
+    the largest right side, or the smallest normal long double, below which
+    a tail may round to 0.  Refusing is optional: where every
+    alpha (r + max_terms) >= 2000 nothing is computed, and at max_terms <= 2^21
+    and r <= 64 each kernel's tail there is below e^-800 < 2 * 5e-324.
+    """
+    if not alpha.size or alpha.min() >= 2000.0 / (r + max_terms):
+        return np.zeros(alpha.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_tail, log_size = bounds()
+        right = np.maximum(np.log(max(_LD(atol), _LD_TINY)), np.log(_LD(rtol)) + log_size)
+        return log_tail > np.log(_LD(2)) + right
 
 
 def _running_sum(carry: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -225,12 +247,15 @@ def lerch_sum(z: float, a: float, atol: float, max_terms: int):
 
     Stops once the geometric tail bound z^(N+1)/((a+N+1)(1-z)) falls
     below ``atol``; if ``max_terms`` is exhausted first the returned
-    error bound simply stays above ``atol``.
+    error bound simply stays above ``atol`` (see :func:`_refused`).
     """
     z_ld = _LD(z)
     a_ld = _LD(a)
     inv_gap = _ONE / (_ONE - z_ld)
     atol_ld = _LD(atol)
+    alpha = np.full(1, -math.log(z) if z > 0.0 else math.inf, dtype=_LD)
+    refused = _refused(alpha, 0, max_terms, 0.0, atol, lambda: (
+        -alpha * max_terms - np.log(a_ld + max_terms) - np.log1p(-z_ld), _ZERO))
     zn = np.ones(1, dtype=_LD)
     acc = np.zeros(1, dtype=_LD)
     tail = np.zeros(1, dtype=_LD)
@@ -242,9 +267,9 @@ def lerch_sum(z: float, a: float, atol: float, max_terms: int):
         tails = zns / (den + _ONE) * inv_gap
         return tails <= atol_ld, (zns, accs, tails)
 
-    n = int(_sum_rows(1, max_terms, block, [zn, acc, tail])[0])
+    n = int(_sum_rows(max_terms, block, [zn, acc, tail], refused)[0])
     err = tail[0] + (_EPS_LD * (n + 4) + _DBL_EPS) * abs(acc[0])
-    return float(acc[0]), float(err), n
+    return float(acc[0]), math.inf if refused[0] else float(err), n
 
 
 def power_sum(s: int, l: int, alpha: float, n_max: int, atol: float):
@@ -272,7 +297,7 @@ def power_sum(s: int, l: int, alpha: float, n_max: int, atol: float):
         tails = _block_tails(n, s, z, zns, lambda last: last < atol_ld)
         return (tails < atol_ld) & (n >= l), (zns, accs, tails)
 
-    _sum_rows(1, n_max + 1, block, [zn, acc, tail])
+    _sum_rows(n_max + 1, block, [zn, acc, tail], np.zeros(1, dtype=bool))
     return float(acc[0]), float(tail[0])
 
 
@@ -313,10 +338,19 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
     coefficient, two in each factor 1 + mu x, their product and the
     division) and S_m r - 1 more: (r + 6) EPS/2 of its sum of magnitudes,
     within the budget, which leaves the rest for z^m and the running sum.
+
+    Budget (:func:`_refused`).  With K = sum_l |Atilde_l| and g = 1 - z, the
+    partial value is below K mu^(2-2r) min(1/g, 1 + 1/mu): each denominator
+    of S_m is at least (1+mu j)^2, j = m - r, and sum_j (1+mu j)^-2 <= 1 + 1/mu.
+    Where alpha (r + N) >= 2000 the tail after N terms is below e^-800 if
+    :func:`closed_condition` kappa < 2^1024: -ln g < 7, [r]_mu! <= 64! and
+    K mu^(2-2r) <= kappa [r]_mu! (1+mu r)(1+mu(r-1)).
     """
     mu_ld = _LD(mu)
-    z = np.exp(-np.asarray(alphas, dtype=_LD))
-    inv_gap = _ONE / (_ONE - z)
+    alpha = np.asarray(alphas, dtype=_LD)
+    z = np.exp(-alpha)
+    with np.errstate(divide="ignore"):  # z = 1 at a subnormal alpha, a refused row
+        inv_gap = _ONE / (_ONE - z)
     coeffs = _scaled_coeffs(mu, r)
     big_k = _ZERO
     for l in range(r):
@@ -326,6 +360,12 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
         scale /= mu_ld
     atol_ld, rtol_ld = _LD(atol), _LD(rtol)
 
+    def bounds():
+        front, log_g, n = np.log(big_k) + np.log(scale), np.log(-np.expm1(-alpha)), max_terms
+        return (front - alpha * (r + n) - np.log1p(mu_ld * (n + 1)) - np.log1p(mu_ld * n) - log_g,
+                front + np.minimum(-log_g, np.log1p(_ONE / mu_ld)))
+
+    refused = _refused(alpha, r, max_terms, rtol, atol, bounds)
     zm = np.ones_like(z)
     for _ in range(r):
         zm *= z
@@ -350,10 +390,10 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
         stop = tails * scale <= np.fmax(atol_ld, rtol_ld * abs(accs) * scale)
         return stop, (zms, accs, abs_accs, tails)
 
-    terms = _sum_rows(z.size, max_terms, block, [zm, acc, abs_acc, tail])
+    terms = _sum_rows(max_terms, block, [zm, acc, abs_acc, tail], refused)
     value = -acc * scale
     err = (tail + _EPS_LD * (2 * r + 6) * abs_acc) * scale + _DBL_EPS * abs(value)
-    return _curve_sums(value, err, terms)
+    return _curve_sums(value, np.where(refused, np.inf, err), terms)
 
 
 def closed_moment_sum(mu: float, alpha: float, r: int, rtol: float,
@@ -636,7 +676,7 @@ def lerch_expansion(z: float, a: float):
 
 
 def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
-                 products) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 products, log_largest: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force moment (1-z) * sum_{n>=r} z^n * P(n), per alpha.
 
     ``products(n)`` gives the alpha-independent product P(n) of r
@@ -645,11 +685,22 @@ def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
     of n^r z^n.  Terms with n < r vanish identically (one factor is
     the structure function at 0) and are skipped.  Returns the arrays
     ``(value, error_bound, terms_used)`` over alpha.
+
+    Budget (:func:`_refused`).  The partial value after N terms is at most
+    (1-z)(r+N)^(r+1), and e^log_largest if no P(n) exceeds it.  Where
+    alpha (r + N) >= 2000 the tail is below e^-800: r ln(r + N) < 932, -ln(1 - rho) < 7.
     """
-    z = np.exp(-np.asarray(alphas, dtype=_LD))
+    alpha = np.asarray(alphas, dtype=_LD)
+    z = np.exp(-alpha)
     gap = _ONE - z
     atol_ld, rtol_ld = _LD(atol), _LD(rtol)
 
+    def bounds():
+        log_g, last = np.log(-np.expm1(-alpha)), np.full(1, _LD(r + max_terms - 1))
+        tail = _geometric_tail(last, r, z, np.exp(-alpha * (r + max_terms)))
+        return log_g + np.log(tail), np.minimum(log_g + (r + 1) * np.log(last + 1), log_largest)
+
+    refused = _refused(alpha, r, max_terms, rtol, atol, bounds)
     zn = np.ones_like(z)
     for _ in range(r):
         zn *= z
@@ -666,10 +717,10 @@ def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
         tails = _block_tails(n, r, za, zns, lambda last: g * last <= bound[:, -1:])
         return g * tails <= bound, (zns, accs, tails)
 
-    terms = _sum_rows(z.size, max_terms, block, [zn, acc, tail])
+    terms = _sum_rows(max_terms, block, [zn, acc, tail], refused)
     value = gap * acc
     err = gap * tail + _EPS_LD * (2 * r + 8) * abs(value) + _DBL_EPS * abs(value)
-    return _curve_sums(value, err, terms)
+    return _curve_sums(value, np.where(refused, np.inf, err), terms)
 
 
 def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
@@ -677,8 +728,8 @@ def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
     """Brute-force moment (1-z) * sum_{n>=r} z^n * prod_{l<r} phi(n-l), per alpha.
 
     Independent of the partial-fraction machinery: each term is a direct
-    product of structure functions phi(x) = x / (1 + mu x) <= x, summed
-    by :func:`_oracle_sums`.  Returns the arrays
+    product of structure functions phi(x) = x / (1 + mu x) <= x, each
+    below 1/mu, summed by :func:`_oracle_sums`.  Returns the arrays
     ``(value, error_bound, terms_used)`` over alpha.
     """
     mu_ld = _LD(mu)
@@ -690,7 +741,8 @@ def oracle_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
             prod *= x / (_ONE + mu_ld * x)
         return prod
 
-    return _oracle_sums(alphas, r, rtol, atol, max_terms, products)
+    return _oracle_sums(alphas, r, rtol, atol, max_terms, products,
+                        -r * math.log(mu) if mu > 0.0 else math.inf)
 
 
 def oracle_moment_sum(mu: float, alpha: float, r: int, rtol: float,
@@ -733,4 +785,4 @@ def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
             prod *= basic[i:i + n.size]
         return prod
 
-    return _first(_oracle_sums((alpha,), r, rtol, atol, max_terms, products))
+    return _first(_oracle_sums((alpha,), r, rtol, atol, max_terms, products, math.inf))

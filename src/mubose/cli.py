@@ -41,6 +41,9 @@ from .errors import (
 
 DEFAULT_MASS = 139.57
 
+#: most momenta of a figure grid; a figure holds about 2.2 KB per row as it is built
+MAX_K_STEPS = 10**5
+
 GRID_HEADER = ("quantity", "k_mev", "T_mev", "mu", "r", "value", "error_bound", "method")
 PQ_HEADER = ("quantity", "k_mev", "T_mev", "p", "q", "r", "value", "error_bound", "method")
 COEFF_HEADER = ("l", "a_l")
@@ -86,7 +89,7 @@ class GridSpec:
             raise DomainError(
                 f"need 0 <= k_min < k_max, got [{self.k_min}, {self.k_max}]"
             )
-        _check_int(self.k_steps, "k_steps", 2)
+        _check_int(self.k_steps, "k_steps", 2, MAX_K_STEPS)
         if not self.temperatures:
             raise DomainError("need at least one temperature")
         for t in self.temperatures:

@@ -160,59 +160,6 @@ class Curve:
         self.failures.update(dict.fromkeys(np.atleast_1d(idx).tolist(), exc))
 
 
-def _beyond_budget(mu: float, a: Sequence[float], r: int, rtol: float,
-                   closed: bool) -> np.ndarray:
-    """Where a series sum at ``a`` cannot pass its stopping test within ``MAX_TERMS`` - 1 terms.
-
-    Such a sum would run to its budget and then fail, so it is failed
-    without summing.  Let n = MAX_TERMS - 1 and z = e^-alpha.  Both kernels
-    stop after t terms once g tail_t <= max(atol, rtol |partial value|),
-    and tail_t falls with t, so no t <= n passes where a lower bound of
-    tail_n exceeds twice an upper bound of the right side (the factor 2
-    absorbs rounding):
-
-    - oracle: the tail after term r+n-1 is
-      (r+n)^r z^(r+n) / (1 - rho) >= (r+n)^r z^(r+n), times g = 1 - z; each
-      product of r structure functions is below mu^-r and g sum_n z^n <= 1,
-      so the partial value is below mu^-r (no bound at mu = 0); each product
-      at term m is also at most m^r, so the partial value is also at most
-      g (r+n)^(r+1).  The smaller bound is taken.
-    - closed form: the tail is K mu^(2-2r) z^(r+n) / ((1+mu(n+1))(1+mu n) g)
-      with K = sum_l |Atilde_l|, and g = 1.  The partial value is at most
-      mu^(2-2r) sum_m z^m sum_l |Atilde_l| / ((1+mu(m-l))(1+mu(m-l-1))),
-      below K mu^(2-2r) min(1/g, 1 + 1/mu), since each denominator is at
-      least (1+mu j)^2 for j = m - r and sum_j (1+mu j)^-2 <= 1 + 1/mu.
-      ``closed_condition`` kappa divides mu^(2-2r) times those r
-      quotients at m = r by [r]_mu!, and their denominators lie in
-      [1, (1+mu r)(1+mu(r-1))], so
-      kappa [r]_mu! <= K mu^(2-2r) <= kappa [r]_mu! (1+mu r)(1+mu(r-1)).
-
-    Where every alpha (r + n) >= 2000 no sum is failed, and nothing is
-    computed: there ln tail_n < -800, below ln(2 TINY) = -743.7, because
-    kappa < 2^1024, [r]_mu! <= 64!, and at n = 2^21 - 1 and r <= 64,
-    -ln g < 7 and r ln(r + n) < 932.
-    """
-    a, n = np.asarray(a, dtype=float), MAX_TERMS - 1
-    if not a.size or a.min() >= 2000.0 / (r + n):
-        return np.zeros(a.size, dtype=bool)
-    log_g = np.log(-np.expm1(-a))
-    if closed:
-        kappa = kernels.closed_condition(mu, r)
-        if kappa == math.inf:
-            return np.zeros(a.size, dtype=bool)
-        low = math.log(kappa) + math.fsum(math.log(j) - math.log1p(mu * j)
-                                          for j in range(1, r + 1))
-        high = low + math.log1p(mu * r) + math.log1p(mu * (r - 1))
-        log_tail = low - a * (r + n) - math.log1p(mu * (n + 1)) - math.log1p(mu * n) - log_g
-        log_size = high + np.minimum(-log_g, math.log1p(1.0 / mu))
-    else:
-        log_tail = log_g + r * math.log(r + n) - a * (r + n)
-        log_size = log_g + (r + 1) * math.log(r + n)
-        if mu > 0.0:
-            log_size = np.minimum(log_size, -r * math.log(mu))
-    return log_tail > math.log(2.0) + np.maximum(math.log(_TINY), math.log(rtol) + log_size)
-
-
 def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, route: str,
           series, out: Curve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(value, error, method code, converged) of the r-th moment at ``alphas[todo]``.
@@ -230,9 +177,9 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
     double result can resolve: a moment below the long-double range sums
     to 0, so no relative test could stop it.  Each bound adds ``_TINY``,
     the absolute error of a value that underflows as it is rounded to a
-    double.  A point whose sum would use, or used, the whole term budget
-    has not converged (see :func:`_beyond_budget`), and its slot of
-    ``out`` fails with a ConvergenceError.
+    double.  A point whose sum used the whole term budget, or that the
+    kernel refused because it could not stop within it, has not converged,
+    and its slot of ``out`` fails with a ConvergenceError.
     """
     a = alphas[todo]
     value, err = np.empty(a.size), np.empty(a.size)
@@ -260,12 +207,8 @@ def _sums(mu: float, alphas: np.ndarray, todo: np.ndarray, r: int, rtol: float, 
     else:
         sums, what = kernels.oracle_moment_sums, "oracle moment"
         code[rest] = _METHODS.index(ORACLE)
-    hopeless = _beyond_budget(mu, a[rest], r, rtol, closed)
-    run = rest[~hopeless]
-    converged[rest[hopeless]] = False
-    if run.size:
-        value[run], err[run], terms = sums(mu, a[run], r, rtol, _TINY, MAX_TERMS)
-        converged[run[terms >= MAX_TERMS]] = False
+    value[rest], err[rest], terms = sums(mu, a[rest], r, rtol, _TINY, MAX_TERMS)
+    converged[rest[terms >= MAX_TERMS]] = False
     for i in np.flatnonzero(~converged).tolist():
         out._fail(int(todo[i]), _convergence_error(MAX_TERMS, what, mu=mu, alpha=float(a[i]), r=r))
     return value, err + _TINY, code, converged

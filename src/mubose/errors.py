@@ -63,16 +63,16 @@ def _check_nonnegative(value: float, what: str) -> None:
         raise DomainError(f"{what} must be >= 0 and finite, got {value}")
 
 
-def _check_int(value: int, what: str, minimum: int) -> None:
-    """Raise DomainError unless ``value`` is an int of at least ``minimum``; bool is no int here."""
+def _check_int(value: int, what: str, minimum: int, maximum: int | None = None) -> None:
+    """Raise DomainError unless ``value`` is an int in [minimum, maximum]; bool is no int here."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{what} {value} exceeds the supported bound {maximum}")
 
 
 def _check_order(r: int, minimum: int = 1) -> None:
-    _check_int(r, "order", minimum)
-    if r > MAX_ORDER:
-        raise DomainError(f"order {r} exceeds the supported bound {MAX_ORDER}")
+    _check_int(r, "order", minimum, MAX_ORDER)
 
 
 def _convergence_error(max_terms: int, what: str, **context: float) -> ConvergenceError:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    MAX_ORDER,
+    MAX_TERMS,
     DeformationMu,
     DomainError,
     _as_mu,
@@ -78,10 +80,10 @@ def c_coeff(s: int, l: int, alpha: float) -> CCoefficient:
     checks; ``recip_coeffs`` are +-g_s^(j-1) / j, from the rows of :func:`special.g_coeff`.
     Beyond s = ``special._MAX_ROW`` the last of them, +-s!, is no double, and
     none is built: there, and where a term or the value is no finite double,
-    DomainError is raised.
+    DomainError is raised, as for l beyond ``MAX_ORDER``, above any shift a moment uses.
     """
     _check_int(s, "power index s", 0)
-    _check_int(l, "shift l", 0)
+    _check_int(l, "shift l", 0, MAX_ORDER)
     _check_positive(alpha, "alpha")
     value = math.nan
     if s <= _MAX_ROW:
@@ -112,7 +114,7 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     """Brute-force c_s(l) as the signed power sum (-1)^s sum_n (n-l)^s e^(-alpha n).
 
     The sum stops at the first term n >= l whose geometric tail bound is
-    below ``ORACLE_TAIL_TOL``; ``n_max`` caps n.
+    below ``ORACLE_TAIL_TOL``; ``n_max`` < ``MAX_TERMS``, the term budget, caps n.
 
     Raises
     ------
@@ -126,7 +128,7 @@ def series_coeff_oracle(s: int, l: int, alpha: float,
     _check_int(s, "power index s", 0)
     _check_int(l, "shift l", 0)
     _check_positive(alpha, "alpha")
-    _check_int(n_max, "n_max", l + 1)
+    _check_int(n_max, "n_max", l + 1, MAX_TERMS - 1)
     acc, tail = kernels.power_sum(s, l, alpha, n_max, ORACLE_TAIL_TOL)
     if not (tail < ORACLE_TAIL_TOL):
         raise _convergence_error(n_max + 1, f"the power sum of c_{s}({l})", alpha=alpha)

@@ -60,9 +60,9 @@ def pq_bracket(n: int, pq: PQParams) -> float:
 
     Evaluated as the equivalent homogeneous sum sum_{j=0}^{n-1} p^j q^(n-1-j),
     which has no p - q cancellation and covers both cases at once, by
-    Horner's rule in q, which never divides by q.
+    Horner's rule in q, which never divides by q, in n <= ``MAX_TERMS`` steps.
     """
-    _check_int(n, "bracket index", 0)
+    _check_int(n, "bracket index", 0, MAX_TERMS)
     acc = 0.0
     for j in range(n):
         acc = acc * pq.q + pq.p**j
@@ -118,17 +118,14 @@ def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
                      tol: float = DEFAULT_TOL) -> CorrelationResult:
     """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r z^n.
 
-    As [n] <= n, a sum that ``core._beyond_budget`` rules out at mu = 0 raises ConvergenceError.
+    A sum that cannot stop within ``MAX_TERMS`` terms raises ConvergenceError.
     """
     from ._backend import kernels
-    from .core import _beyond_budget
 
     _check_positive(alpha, "alpha")
     _check_order(r)
     _check_positive(tol, "tolerance")
-    used = MAX_TERMS
-    if not _beyond_budget(0.0, [alpha], r, tol, closed=False)[0]:
-        value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
+    value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
     if used >= MAX_TERMS:
         raise _convergence_error(MAX_TERMS, "p,q oracle", p=pq.p, q=pq.q, alpha=alpha, r=r)
     return CorrelationResult(value, err, ORACLE)

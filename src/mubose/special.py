@@ -56,10 +56,7 @@ def lerch_phi_s1(query: LerchQuery) -> float:
     cost does not grow as z -> 1, if that expansion's error bound is
     within ``query.tol``.  Otherwise it is summed directly: the tail after
     N terms is bounded by z^N / ((a + N)(1 - z)), and summation stops once
-    that bound drops below ``query.tol``.  The bound falls with N, so where
-    it exceeds twice ``query.tol`` at N = ``MAX_TERMS``, the term budget of
-    every kernel sum (the factor 2 absorbs rounding), no sum within the
-    budget can stop, and none is summed.
+    that bound drops below ``query.tol``.
 
     Raises
     ------
@@ -75,10 +72,7 @@ def lerch_phi_s1(query: LerchQuery) -> float:
     if z > 0.0 and -math.log(z) * max(a, 1.0) <= EXPANSION_REACH:
         value, err, _ = kernels.lerch_expansion(z, a)
     if not err <= tol:
-        used = MAX_TERMS
-        if z == 0.0 or (MAX_TERMS * math.log(z) - math.log(a + MAX_TERMS) - math.log1p(-z)
-                        <= math.log(2.0 * tol)):
-            value, _err, used = kernels.lerch_sum(z, a, tol, MAX_TERMS)
+        value, _err, used = kernels.lerch_sum(z, a, tol, MAX_TERMS)
         if used >= MAX_TERMS:
             raise _convergence_error(MAX_TERMS, "lerch sum", z=z, a=a, tol=tol)
     if not math.isfinite(value):
@@ -105,8 +99,7 @@ def _row(rows: list[tuple[int, ...]], n: int, step) -> tuple[int, ...]:
     of the row below it (0 outside that row).  Beyond ``_MAX_ROW``
     DomainError is raised and no row is built.
     """
-    if n > _MAX_ROW:
-        raise DomainError(f"row {n} exceeds the supported bound {_MAX_ROW}")
+    _check_int(n, "row", 0, _MAX_ROW)
     if n >= len(rows):
         with _ROW_LOCK:
             while len(rows) <= n:

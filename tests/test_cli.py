@@ -15,6 +15,7 @@ from mubose import PQParams, core, pq_intercept_result
 from mubose.cli import (
     FIGURE_MUS,
     GRID_HEADER,
+    MAX_K_STEPS,
     GridSpec,
     _json_cell,
     figure_records,
@@ -48,7 +49,7 @@ class TestGridSpec:
         "kwargs",
         [dict(k_min=-1.0), dict(k_min=5.0, k_max=5.0), dict(k_steps=1),
          dict(temperatures=()), dict(temperatures=(0.0,)), dict(mus=(-0.1,)),
-         dict(mass=0.0), dict(tol=0.0)],
+         dict(mass=0.0), dict(tol=0.0), dict(k_steps=MAX_K_STEPS + 1)],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):

@@ -704,15 +704,16 @@ class TestTermBudget:
                                                (False, 0.0, 2), (False, 0.0, 3),
                                                (False, 1e-300, 2)])
     @pytest.mark.parametrize("alpha", [0.06, 0.3, 2.0])
-    def test_prediction_never_stops_a_converging_sum(self, closed, mu, r, alpha, monkeypatch):
-        # the kernel needs `used` terms; with a budget of used + 1 the sum converges
-        # and no prediction may fail it, with a budget of used / 4 the prediction fails it
+    def test_prediction_never_stops_a_converging_sum(self, closed, mu, r, alpha):
+        # the kernel needs `used` terms: with a budget of used + 1 it returns what it
+        # returns with 10^8, and with a budget of used // 4 it refuses the sum
         sums = kernels.closed_moment_sums if closed else kernels.oracle_moment_sums
-        used = int(sums(mu, [alpha], r, 1e-13, core._TINY, 10**8)[2][0])
-        for budget, fails in ((used + 1, False), (used // 4, True)):
-            monkeypatch.setattr(core, "MAX_TERMS", budget)
-            hopeless = core._beyond_budget(mu, np.array([alpha]), r, 1e-13, closed)
-            assert hopeless[0] == fails, budget
+        want = sums(mu, [alpha], r, 1e-13, core._TINY, 10**8)
+        used = int(want[2][0])
+        got = sums(mu, [alpha], r, 1e-13, core._TINY, used + 1)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        _, err, terms = sums(mu, [alpha], r, 1e-13, core._TINY, used // 4)
+        assert (err[0], terms[0]) == (math.inf, used // 4)
 
     #: calls that summed for seconds, returned inf +- inf, or raised a bare OverflowError
     HOSTILE = [
@@ -740,6 +741,15 @@ class TestTermBudget:
         (lambda: c_coeff(3, 0, 5e-324), DomainError),
         (lambda: series_coeff_oracle(200, 0, 1.0), DomainError),
         (lambda: pq_moment(PQParams(1.0, 1.0), 5e-324, 2), DomainError),
+        # sums whose tail after the whole budget rules them out, which ran it out first
+        # for 0.2-4.3 s
+        (lambda: oracle_moment(0.0, 1e-5, 64), ConvergenceError),
+        (lambda: intercept(1e-5, 1e-5, 5), ConvergenceError),
+        (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 1e-5, 2), ConvergenceError),
+        # loops of a length the caller sets, which no budget bounded: hours, or memory
+        (lambda: pq_bracket(10**11, PQParams(0.5, 0.5)), DomainError),
+        (lambda: c_coeff(3, 10**10, 1.0), DomainError),
+        (lambda: series_coeff_oracle(3, 0, 1e-6, 10**11), DomainError),
     ]
 
     @pytest.mark.parametrize("call, error", HOSTILE)

@@ -228,6 +228,33 @@ def _check(batch, scalar, loop, mu, alphas, r, rtol, atol=0.0, max_terms=10**8):
     return want
 
 
+def _check_budget(batch, scalar, loop, mu, alphas, r, rtol, max_terms):
+    """Sums at a budget that some rows cannot meet: the curve equals its one-point
+    calls, a row the kernel refuses reports the budget with an infinite bound, and
+    every other row equals its loop.  Returns which rows were refused."""
+    got = batch(mu, alphas, r, rtol, 0.0, max_terms)
+    points = [scalar(mu, a, r, rtol, 0.0, max_terms) for a in alphas]
+    _assert_same(got, _columns(points))
+    refused = (got[1] == math.inf).tolist()
+    for a, point, no in zip(alphas, points, refused):
+        assert point[2] == max_terms if no else point == loop(mu, a, r, rtol, 0.0, max_terms)
+    return refused
+
+
+def _check_short_budgets(batch, scalar, loop, short):
+    """Two sums at budgets ``short`` terms below each one's length, and of ``short`` terms.
+
+    Short of the longer sum neither row is refused and the longer exhausts its
+    budget; short of the shorter sum the longer row is refused; at ``short``
+    terms both are.
+    """
+    alphas = [0.01, 0.02]
+    slow, fast = batch(0.1, alphas, 3, 1e-13, 0.0, 10**8)[2].tolist()
+    for budget, refused in ((slow - short, [False, False]), (fast - short, [True, False]),
+                            (short, [True, True])):
+        assert _check_budget(batch, scalar, loop, 0.1, alphas, 3, 1e-13, budget) == refused
+
+
 class TestClosedMomentSums:
     @pytest.mark.parametrize("mu", [0.01, 0.1, 0.2, 0.45, 0.5, 1.0, 3.0])
     def test_matches_loop(self, mu):
@@ -245,11 +272,9 @@ class TestClosedMomentSums:
         _assert_same(kp.closed_moment_sums(mu, FIGURE_ALPHAS, r, rtol, 0.0, 10**8),
                      _columns(want))
 
-    @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
-    def test_exhausted_budget(self, max_terms):
-        want = _check(kp.closed_moment_sums, kp.closed_moment_sum, _closed_loop,
-                      0.1, [0.01, 0.02], 3, 1e-13, max_terms=max_terms)
-        assert [terms for _, _, terms in want] == [max_terms, max_terms]
+    @pytest.mark.parametrize("short", [1, 5, 16, 37])
+    def test_exhausted_budget(self, short):
+        _check_short_budgets(kp.closed_moment_sums, kp.closed_moment_sum, _closed_loop, short)
 
     def test_absolute_tolerance(self):
         _check(kp.closed_moment_sums, kp.closed_moment_sum, _closed_loop,
@@ -299,20 +324,21 @@ class TestOracleMomentSums:
         _assert_same(kp.oracle_moment_sums(mu, FIGURE_ALPHAS, r, rtol, 0.0, 10**8),
                      _columns(want))
 
-    @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
-    def test_exhausted_budget(self, max_terms):
-        want = _check(kp.oracle_moment_sums, kp.oracle_moment_sum, _oracle_loop,
-                      0.1, [0.01, 0.02], 3, 1e-13, max_terms=max_terms)
-        assert [terms for _, _, terms in want] == [max_terms, max_terms]
+    @pytest.mark.parametrize("short", [1, 5, 16, 37])
+    def test_exhausted_budget(self, short):
+        _check_short_budgets(kp.oracle_moment_sums, kp.oracle_moment_sum, _oracle_loop, short)
 
     def test_divergent_ratio_is_silent(self):
-        # at small alpha and high order the first term ratios reach rho >= 1,
-        # where the tail is infinite; no numpy warning may escape
+        # at small alpha and high order the first term ratios reach rho >= 1, where
+        # the tail is infinite: a sum runs through those terms, and a budget that
+        # ends among them is refused with an infinite bound; no numpy warning may escape
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = _check(kp.oracle_moment_sums, kp.oracle_moment_sum, _oracle_loop,
-                          0.1, [0.05, 0.2], 8, 1e-13, max_terms=3)
-        assert all(err == math.inf for _, err, _ in want)
+            _check(kp.oracle_moment_sums, kp.oracle_moment_sum, _oracle_loop,
+                   0.1, [0.05, 0.2], 8, 1e-13)
+            refused = _check_budget(kp.oracle_moment_sums, kp.oracle_moment_sum, _oracle_loop,
+                                    0.1, [0.05, 0.2], 8, 1e-13, 3)
+        assert refused == [True, True]
 
 
 def test_rows_beyond_the_block_cap():
@@ -340,11 +366,15 @@ class TestLerchSum:
         for z in (0.5, 0.99, Z_NEAR_ONE):
             assert kp.lerch_sum(z, 2.0, 1e-3, 10**8) == _lerch_loop(z, 2.0, 1e-3, 10**8)
 
-    @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
-    def test_exhausted_budget(self, max_terms):
-        want = _lerch_loop(0.99, 1.5, 1e-15, max_terms)
-        assert kp.lerch_sum(0.99, 1.5, 1e-15, max_terms) == want
-        assert want[2] == max_terms
+    @pytest.mark.parametrize("short", [1, 5, 16, 37])
+    def test_exhausted_budget(self, short):
+        # `short` terms short of the sum the kernel does not refuse it, and it exhausts
+        # its budget as the loop does; a budget of `short` terms it refuses
+        used = kp.lerch_sum(0.99, 1.5, 1e-15, 10**8)[2]
+        want = _lerch_loop(0.99, 1.5, 1e-15, used - short)
+        assert kp.lerch_sum(0.99, 1.5, 1e-15, used - short) == want
+        assert want[2] == used - short
+        assert kp.lerch_sum(0.99, 1.5, 1e-15, short)[1:] == (math.inf, short)
 
 
 class TestPowerSum:
@@ -395,12 +425,16 @@ class TestPQOracleSum:
                 want = _pq_oracle_loop(p, q, alpha, r, 1e-13, 0.0, 10**8)
                 assert kp.pq_oracle_sum(p, q, alpha, r, 1e-13, 0.0, 10**8) == want
 
-    @pytest.mark.parametrize("max_terms", [1, 5, 16, 37])
-    def test_exhausted_budget(self, max_terms):
+    @pytest.mark.parametrize("short", [1, 5, 16, 37])
+    def test_exhausted_budget(self, short):
+        # as for the Lerch sum: `short` terms short of the sum the kernel matches the
+        # loop, and a budget of `short` terms it refuses
         for r in (1, 3):
-            want = _pq_oracle_loop(0.9, 0.7, 0.01, r, 1e-13, 0.0, max_terms)
-            assert kp.pq_oracle_sum(0.9, 0.7, 0.01, r, 1e-13, 0.0, max_terms) == want
-            assert want[2] == max_terms
+            used = kp.pq_oracle_sum(0.9, 0.7, 0.01, r, 1e-13, 0.0, 10**8)[2]
+            want = _pq_oracle_loop(0.9, 0.7, 0.01, r, 1e-13, 0.0, used - short)
+            assert kp.pq_oracle_sum(0.9, 0.7, 0.01, r, 1e-13, 0.0, used - short) == want
+            assert want[2] == used - short
+            assert kp.pq_oracle_sum(0.9, 0.7, 0.01, r, 1e-13, 0.0, short)[1:] == (math.inf, short)
 
     def test_absolute_tolerance(self):
         want = _pq_oracle_loop(0.9, 0.7, 0.2, 2, 1e-15, 1e-6, 10**8)

@@ -97,15 +97,17 @@ class TestLerchValue:
 
     @pytest.mark.parametrize("z, a", [(0.5, 1.0), (0.9, 5.0), (0.3, 0.25), (0.95, 12.0)])
     def test_budget_prediction_never_stops_a_converging_sum(self, z, a, monkeypatch):
-        # the direct sum needs `used` terms: a budget of used + 1 converges, and a
-        # budget of used // 4 is refused before the kernel is called
+        # the direct sum needs `used` terms: with a budget of used + 1 it returns what
+        # it returns with 10^8, and a budget of used // 4 the kernel refuses
         query = LerchQuery(z, a)
-        value, _, used = kernels.lerch_sum(z, a, query.tol, 10**8)
+        want = kernels.lerch_sum(z, a, query.tol, 10**8)
+        used = want[2]
         assert used >= 8
+        assert kernels.lerch_sum(z, a, query.tol, used + 1) == want
+        assert kernels.lerch_sum(z, a, query.tol, used // 4)[1:] == (math.inf, used // 4)
         monkeypatch.setattr(special, "MAX_TERMS", used + 1)
-        assert lerch_phi_s1(query) == value
+        assert lerch_phi_s1(query) == want[0]
         monkeypatch.setattr(special, "MAX_TERMS", used // 4)
-        monkeypatch.setattr(kernels, "lerch_sum", None)
         with pytest.raises(ConvergenceError):
             lerch_phi_s1(query)
 
