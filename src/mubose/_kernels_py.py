@@ -349,7 +349,7 @@ def closed_moment_sums(mu: float, alphas, r: int, rtol: float, atol: float,
     mu_ld = _LD(mu)
     alpha = np.asarray(alphas, dtype=_LD)
     z = np.exp(-alpha)
-    with np.errstate(divide="ignore"):  # z = 1 at a subnormal alpha, a refused row
+    with np.errstate(divide="ignore"):  # 1 - z = 0 at a tiny alpha: an infinite tail
         inv_gap = _ONE / (_ONE - z)
     coeffs = _scaled_coeffs(mu, r)
     big_k = _ZERO

@@ -236,8 +236,11 @@ def _check_budget(batch, scalar, loop, mu, alphas, r, rtol, max_terms):
     points = [scalar(mu, a, r, rtol, 0.0, max_terms) for a in alphas]
     _assert_same(got, _columns(points))
     refused = (got[1] == math.inf).tolist()
-    for a, point, no in zip(alphas, points, refused):
-        assert point[2] == max_terms if no else point == loop(mu, a, r, rtol, 0.0, max_terms)
+    for a, point, was_refused in zip(alphas, points, refused):
+        if was_refused:
+            assert point[2] == max_terms
+        else:
+            assert point == loop(mu, a, r, rtol, 0.0, max_terms)
     return refused
 
 
