@@ -18,6 +18,8 @@ as arrays over alpha (float64, float64, int64); the other kernels are
 one-point sums and return Python numbers.  A kernel that sums to a
 tolerance refuses a row whose stopping test cannot pass within ``max_terms``
 terms (:func:`_refused`): it reports ``max_terms`` terms and an infinite bound.
+The z -> 1 expansions build their alpha-free tables once per (mu, r) and
+shift, in two bounded caches of read-only long-double arrays (``TABLE_CACHE``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DBL_EPS, MAX_ORDER
+from .errors import DBL_EPS, EXPANSION_REACH, MAX_ORDER
 from .partfrac import _coeff_ratios
 
 # the partial-fraction coefficients A_l(mu) as doubles: partfrac forms them
@@ -414,6 +416,16 @@ _K = np.arange(1, EXPANSION_TERMS + 1).astype(_LD)
 _SIGNS = np.where(np.arange(1, EXPANSION_TERMS + 1) % 2 == 1, _ONE, -_ONE)
 
 
+#: entries of each table cache; one holds at most a few hundred long doubles
+TABLE_CACHE = 64
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, no longer writeable: a cached table is shared by every later call."""
+    values.flags.writeable = False
+    return values
+
+
 @functools.cache
 def _bernoulli() -> tuple[np.ndarray, np.ndarray]:
     """(B_i / i!, B_i) for i = 0..EXPANSION_TERMS in long double, built on first use.
@@ -460,6 +472,25 @@ def _first_stop(stop: np.ndarray) -> np.ndarray:
     return np.where(stop.any(axis=-1), stop.argmax(axis=-1), stop.shape[-1] - 1)
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _lerch_table(b: _LD) -> tuple:
+    """The alpha-independent part of :func:`_lerch_expansion` at the shift b, built once:
+    c = max(b, 1), the coefficients of (c alpha)^k and their magnitudes, Cauchy's
+    rho and factor per k (read-only arrays), and :func:`_digamma_gap`."""
+    over_fact, _ = _bernoulli()
+    n = EXPANSION_TERMS
+    c = max(b, _ONE)
+    k = _K
+    u = over_fact * np.concatenate([[_ONE], np.cumprod(np.full(n, _ONE / c))])
+    v = np.concatenate([[_ONE], np.cumprod((b / c) / k)])
+    coef = np.convolve(u, v)[1:n + 1] / k
+    coef_abs = np.convolve(abs(u), v)[1:n + 1] / k
+    s = max(b, _ONE - b)
+    rho = np.minimum(_PI, (k + 1) / s)
+    cauchy = _PI / 2 * np.exp(rho * s) / (k + 1)
+    return (c, *map(_read_only, (coef, coef_abs, rho, cauchy)), *_digamma_gap(b))
+
+
 def _lerch_expansion(alpha: np.ndarray, b: _LD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phi(e^-alpha, 1, b) near z = 1 for every alpha and one shift b > 0.
 
@@ -498,27 +529,16 @@ def _lerch_expansion(alpha: np.ndarray, b: _LD) -> tuple[np.ndarray, np.ndarray,
     e^(b alpha) takes EPS + U b alpha, and a rounded b moves Phi by at most
     U (1 + 1/b), since |dPhi/db| <= 1/b^2 + 1/b.
     """
-    over_fact, _ = _bernoulli()
-    n = EXPANSION_TERMS
-    c = max(b, _ONE)
+    c, coef, coef_abs, rho, cauchy, gap, gap_err = _lerch_table(b)
     k = _K
-    u = over_fact * np.concatenate([[_ONE], np.cumprod(np.full(n, _ONE / c))])
-    v = np.concatenate([[_ONE], np.cumprod((b / c) / k)])
-    coef = np.convolve(u, v)[1:n + 1] / k
-    coef_abs = np.convolve(abs(u), v)[1:n + 1] / k
-    powers = np.cumprod(np.broadcast_to((alpha * c)[:, None], (alpha.size, n)), axis=1)
+    powers = np.cumprod(np.broadcast_to((alpha * c)[:, None], (alpha.size, k.size)), axis=1)
     steps = _SIGNS * coef * powers
     partial = np.cumsum(steps, axis=1)
 
-    s = max(b, _ONE - b)
-    k1 = k + 1
-    rho = np.minimum(_PI, k1 / s)
-    cauchy = _PI / 2 * np.exp(rho * s) / k1
     q = alpha[:, None] / rho
-    tails = np.where(q < _ONE, cauchy * q**k1 / (_ONE - q), _LD(np.inf))
+    tails = np.where(q < _ONE, cauchy * q**(k + 1) / (_ONE - q), _LD(np.inf))
 
     log_ab = np.log(alpha * b)
-    gap, gap_err = _digamma_gap(b)
     head = -(log_ab + _EULER) - gap
     brackets = head[:, None] + partial
     at = _first_stop(tails <= _EPS_LD * abs(brackets))
@@ -532,6 +552,58 @@ def _lerch_expansion(alpha: np.ndarray, b: _LD) -> tuple[np.ndarray, np.ndarray,
     err = (grow * (head_err + rounding + _U * abs(bracket) + tails[pick, at])
            + (_EPS_LD + _U * (1 + b * alpha)) * abs(value) + _U * (_ONE + _ONE / b))
     return value, err, at + 1
+
+
+def _table_size(log_ratio: float, spread: float) -> int:
+    """The rows up to the first n at which a point of (r-1) alpha = ``spread`` has both
+    tails below U |omega_0| and U |nu_0|, tested in logarithms, or ``MAX_ORDER + 1``."""
+    log_rest = 0.0
+    for size in range(1, MAX_ORDER + 2):
+        if spread == 0.0:
+            break
+        log_rest += math.log(spread / size)
+        if spread < size + 1 and log_ratio + log_rest - math.log1p(-spread / (size + 1)) <= 0.0:
+            break
+    return size
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _expansion_table(mu: float, r: int, spread: float) -> tuple:
+    """``(log_ratio, scalars, rows)`` of :func:`closed_moment_expansion` for (r-1) alpha <= spread:
+    log_ratio sizes a call; scalars are sum_j |w_j|, sum_d |kappa_d|, 1/mu and mu^-r, and
+    rows omega_n, nu_n, each rounded once (a longer table has the same leading rows)."""
+    frac = Fraction(mu)
+    p, q = frac.numerator, frac.denominator
+    # w_j = weights[j] / w_den and kappa_d = p kernel[d-1] / k_den, in integers
+    w_den = p**r * math.factorial(r - 1)
+    weights = [num * q * (w_den // (den * p)) for num, den in reversed(_coeff_ratios(r, frac))]
+    shifts = [q + i * p for i in range(r - 1)]
+    prod_shifts = math.prod(shifts)
+    kernel = [sum(weights[i + d] * (prod_shifts // shifts[i]) for i in range(r - d))
+              for d in range(1, r)]
+    k_den = w_den * prod_shifts
+
+    # sum_j |w_j| and sum_d |kappa_d|, which bound |omega_n| and |nu_n| n! / (r-1)^n
+    sizes = (sum(map(abs, weights)), p * sum(map(abs, kernel)))
+    firsts = (sum(weights), p * sum(kernel))
+    log_ratio = max((math.log(size) - math.log(abs(first)) if first else math.inf
+                     for size, first in zip(sizes, firsts) if size),
+                    default=-math.inf) - math.log(_U)
+    size = _table_size(log_ratio, spread)
+    nums_w, nums_v, dens_w, dens_v = [], [], [], []
+    j_pow, d_pow, fact = [1] * r, [1] * (r - 1), 1
+    for n in range(size):
+        nums_w.append(sum(w * x for w, x in zip(weights, j_pow)))
+        nums_v.append(p * sum(k * x for k, x in zip(kernel, d_pow)))
+        dens_w.append(w_den * fact)
+        dens_v.append(k_den * fact)
+        j_pow = [x * j for j, x in enumerate(j_pow)]
+        d_pow = [x * (d + 1) for d, x in enumerate(d_pow)]
+        fact *= n + 1
+    with np.errstate(over="ignore", under="ignore"):
+        coeffs = _ld_ratios(nums_w + nums_v + [sizes[0], sizes[1], q, q**r],
+                            dens_w + dens_v + [w_den, k_den, p, p**r])
+    return log_ratio, _read_only(coeffs[-4:]), _read_only(coeffs[:-4].reshape(2, size))
 
 
 def closed_moment_expansion(mu: float, alphas,
@@ -562,14 +634,15 @@ def closed_moment_expansion(mu: float, alphas,
     sum P_n alpha^n = (1 - z) e^(c alpha) W and
     sum Q_n alpha^n = (1 - z) (e^(c alpha) S W - V), S the Bernoulli series
     of Phi(z, 1, c), evaluated as its factors; the one Phi comes from
-    :func:`_lerch_expansion`.  The coefficients are built once per call,
-    for every alpha.
+    :func:`_lerch_expansion`.  The coefficients do not depend on alpha: they
+    are built once per (mu, r), kept in a bounded cache
+    (:func:`_expansion_table`), and serve every alpha of every later call.
 
     Truncation.  With x = (r-1) alpha, |omega_m alpha^m| <= sum_j |w_j|
     x^m / m!, so the tail of W after term n is at most
     sum_j |w_j| x^(n+1) / (n+1)! / (1 - x/(n+2)), and likewise for V with
-    sum_d |kappa_d|.  The coefficients are built up to the first n at
-    which the largest alpha has both tails below U = EPS/2 of |omega_0|
+    sum_d |kappa_d|.  A call takes the coefficients up to the first n at
+    which its largest alpha has both tails below U = EPS/2 of |omega_0|
     and |nu_0|, or up to ``MAX_ORDER``; each point then stops at the first
     n where its tails are below U of its partial W and V, where their
     share of G_r is below one rounding of it.
@@ -585,56 +658,20 @@ def closed_moment_expansion(mu: float, alphas,
     the Taylor terms of W and V.
     """
     alpha = np.asarray(alphas, dtype=_LD)
-    frac = Fraction(mu)
-    p, q = frac.numerator, frac.denominator
-    # w_j = weights[j] / w_den and kappa_d = p kernel[d-1] / k_den, in integers
-    w_den = p**r * math.factorial(r - 1)
-    weights = [num * q * (w_den // (den * p)) for num, den in reversed(_coeff_ratios(r, frac))]
-    shifts = [q + i * p for i in range(r - 1)]
-    prod_shifts = math.prod(shifts)
-    kernel = [sum(weights[i + d] * (prod_shifts // shifts[i]) for i in range(r - d))
-              for d in range(1, r)]
-    k_den = w_den * prod_shifts
-
-    # sum_j |w_j| and sum_d |kappa_d|, which bound |omega_n| and |nu_n| n! / (r-1)^n
-    sizes = (sum(map(abs, weights)), p * sum(map(abs, kernel)))
-    # the coefficients up to the first n at which the largest alpha has both
-    # tails below U |omega_0| and U |nu_0|, tested in logarithms of the integers
     spread = float((r - 1) * alpha.max(initial=_ZERO))
-    firsts = (sum(weights), p * sum(kernel))
-    log_ratio = max((math.log(size) - math.log(abs(first)) if first else math.inf
-                     for size, first in zip(sizes, firsts) if size),
-                    default=-math.inf) - math.log(_U)
-    log_rest = 0.0
-    for size in range(1, MAX_ORDER + 2):
-        if spread == 0.0:
-            break
-        log_rest += math.log(spread / size)
-        if spread < size + 1 and log_ratio + log_rest - math.log1p(-spread / (size + 1)) <= 0.0:
-            break
-    nums_w, nums_v, dens_w, dens_v = [], [], [], []
-    j_pow, d_pow, fact = [1] * r, [1] * (r - 1), 1
-    for n in range(size):
-        nums_w.append(sum(w * x for w, x in zip(weights, j_pow)))
-        nums_v.append(p * sum(k * x for k, x in zip(kernel, d_pow)))
-        dens_w.append(w_den * fact)
-        dens_v.append(k_den * fact)
-        j_pow = [x * j for j, x in enumerate(j_pow)]
-        d_pow = [x * (d + 1) for d, x in enumerate(d_pow)]
-        fact *= n + 1
+    # one table serves core's route, alpha (1/mu + r) <= EXPANSION_REACH; a larger alpha, its own
+    log_ratio, (size_w, size_v, c, inv_mu_r), rows = _expansion_table(
+        mu, r, max(spread, (r - 1) * EXPANSION_REACH / (1.0 / mu + r)))
+    coeffs = rows[:, :_table_size(log_ratio, spread)]
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        coeffs = _ld_ratios(nums_w + nums_v + [sizes[0], sizes[1], q, q**r],
-                            dens_w + dens_v + [w_den, k_den, p, p**r])
-        coeffs, (size_w, size_v, c, inv_mu_r) = coeffs[:-4], coeffs[-4:]
-
         # every alpha against those coefficients: arrays over (alpha, W or V, n)
-        order = np.arange(size)
+        order = np.arange(coeffs.shape[1])
         spread = ((r - 1) * alpha)[:, None]
         powers = np.cumprod(np.concatenate([np.ones((alpha.size, 1), _LD),
                                             np.repeat(alpha[:, None], order.size - 1, axis=1)],
                                            axis=1), axis=1)
-        steps = powers[:, None, :] * coeffs.reshape(2, order.size)
+        steps = powers[:, None, :] * coeffs
         partial = np.cumsum(steps, axis=2)
         rounding = np.cumsum(_U * (order + 1) * abs(steps)
                              + np.minimum(_U * abs(partial), abs(steps)), axis=2)
@@ -675,16 +712,20 @@ def lerch_expansion(z: float, a: float):
     return float(value[0]), float(err[0]), int(terms[0])
 
 
-def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
-                 products, log_largest: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int, products,
+                 log_largest: float, decay=_ONE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force moment (1-z) * sum_{n>=r} z^n * P(n), per alpha.
 
     ``products(n)`` gives the alpha-independent product P(n) of r
     structure functions for a block of consecutive ``n``; it must lie in
-    [0, n^r], so the tail after term n is bounded by the geometric tail
-    of n^r z^n.  Terms with n < r vanish identically (one factor is
-    the structure function at 0) and are skipped.  Returns the arrays
-    ``(value, error_bound, terms_used)`` over alpha.
+    [0, n^r decay^(n-r)], 0 <= decay <= 1, so the tail after term n is
+    decay^-r times the geometric tail of n^r (decay z)^n.  Terms with n < r
+    vanish identically (one factor is the structure function at 0) and are
+    skipped.  Returns the arrays ``(value, error_bound, terms_used)`` over alpha.
+
+    Where decay < 1 the sum stays bounded as z -> 1, while 1 - z from the rounded
+    z errs by U/alpha relative: the factor is -expm1(-alpha).  Where decay = 1 the
+    sum grows as the factor falls, and the factor is 1 - z of the same rounded z.
 
     Budget (:func:`_refused`).  The partial value after N terms is at most
     (1-z)(r+N)^(r+1), and e^log_largest if no P(n) exceeds it.  Where
@@ -692,12 +733,16 @@ def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
     """
     alpha = np.asarray(alphas, dtype=_LD)
     z = np.exp(-alpha)
-    gap = _ONE - z
+    gap = -np.expm1(-alpha) if decay < _ONE else _ONE - z
     atol_ld, rtol_ld = _LD(atol), _LD(rtol)
+
+    def decayed(n, za, zns):  # the tail bound's z and z^(n+1), times decay and decay^(n+1-r)
+        with np.errstate(under="ignore"):
+            return (za, zns) if decay == _ONE else (za * decay, zns * decay ** (n + 1 - r))
 
     def bounds():
         log_g, last = np.log(-np.expm1(-alpha)), np.full(1, _LD(r + max_terms - 1))
-        tail = _geometric_tail(last, r, z, np.exp(-alpha * (r + max_terms)))
+        tail = _geometric_tail(last, r, *decayed(last, z, np.exp(-alpha * (r + max_terms))))
         return log_g + np.log(tail), np.minimum(log_g + (r + 1) * np.log(last + 1), log_largest)
 
     refused = _refused(alpha, r, max_terms, rtol, atol, bounds)
@@ -714,7 +759,7 @@ def _oracle_sums(alphas, r: int, rtol: float, atol: float, max_terms: int,
         accs = _running_sum(acc[active], products(n) * zn_before)
         g = gap[active, None]
         bound = np.fmax(atol_ld, rtol_ld * g * accs)
-        tails = _block_tails(n, r, za, zns, lambda last: g * last <= bound[:, -1:])
+        tails = _block_tails(n, r, *decayed(n, za, zns), lambda last: g * last <= bound[:, -1:])
         return g * tails <= bound, (zns, accs, tails)
 
     terms = _sum_rows(max_terms, block, [zn, acc, tail], refused)
@@ -759,7 +804,9 @@ def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
     [n+1] = (p+q)[n] - pq[n-1], which is stable for p, q <= 1 and avoids
     the cancellation of (p^n - q^n)/(p - q) at p close to q; it carries
     on from one block of terms to the next.  Each product is taken in
-    window order, [n-r+1] up to [n].
+    window order, [n-r+1] up to [n].  As [m] <= m p^(m-1) for q <= p <= 1,
+    P(n) <= n^r p^(r(n-r)): the tail carries the decay p^r, so at p < 1 the
+    number of terms does not grow as alpha -> 0.
     """
     p_ld = _LD(p)
     q_ld = _LD(q)
@@ -785,4 +832,4 @@ def pq_oracle_sum(p: float, q: float, alpha: float, r: int, rtol: float,
             prod *= basic[i:i + n.size]
         return prod
 
-    return _first(_oracle_sums((alpha,), r, rtol, atol, max_terms, products, math.inf))
+    return _first(_oracle_sums((alpha,), r, rtol, atol, max_terms, products, math.inf, p_ld**r))

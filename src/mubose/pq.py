@@ -116,19 +116,22 @@ def pq_moment(pq: PQParams, alpha: float, r: int) -> float:
 
 def pq_oracle_moment(pq: PQParams, alpha: float, r: int,
                      tol: float = DEFAULT_TOL) -> CorrelationResult:
-    """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r z^n.
+    """Brute-force moment (1-z) sum_n z^n prod_{l<r} [n-l], tail bound n^r p^(r(n-r)) z^n.
 
+    At p < 1 the terms decay and 1 - z is -expm1(-alpha).  A tail below the smallest
+    double (the error of an underflowing value) stops the sum and joins the bound.
     A sum that cannot stop within ``MAX_TERMS`` terms raises ConvergenceError.
     """
     from ._backend import kernels
+    from .core import _TINY
 
     _check_positive(alpha, "alpha")
     _check_order(r)
     _check_positive(tol, "tolerance")
-    value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, 0.0, MAX_TERMS)
+    value, err, used = kernels.pq_oracle_sum(pq.p, pq.q, alpha, r, tol, _TINY, MAX_TERMS)
     if used >= MAX_TERMS:
         raise _convergence_error(MAX_TERMS, "p,q oracle", p=pq.p, q=pq.q, alpha=alpha, r=r)
-    return CorrelationResult(value, err, ORACLE)
+    return CorrelationResult(value, err + _TINY, ORACLE)
 
 
 def pq_intercept_result(pq: PQParams, alpha: float, r: int) -> CorrelationResult:

@@ -733,9 +733,10 @@ class TestTermBudget:
         (lambda: intercept(1e-6, 5e-6, 3), ConvergenceError),
         (lambda: intercept(0.0, 1e-6, 3, method="oracle"), ConvergenceError),
         (lambda: r3_function(0.0, 1e-6, method="oracle"), ConvergenceError),
-        # the p,q oracle under the mu = 0 oracle's budget rule, as [n]_{p,q} <= n
-        (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 1e-9, 2), ConvergenceError),
-        (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 5e-324, 2), ConvergenceError),
+        # the p,q oracle at p = 1 under the mu = 0 oracle's budget rule, as [n]_{p,q} <= n;
+        # at p < 1 these sums stop within a few dozen terms (test_pq.TestOracleBound)
+        (lambda: pq_oracle_moment(PQParams(1.0, 1.0), 1e-9, 2), ConvergenceError),
+        (lambda: pq_oracle_moment(PQParams(1.0, 1.0), 5e-324, 2), ConvergenceError),
         # values beyond the double range, which were returned as +-inf
         (lambda: lerch_phi_s1(LerchQuery(0.5, 5e-324)), DomainError),
         (lambda: c_coeff(3, 0, 5e-324), DomainError),
@@ -745,7 +746,7 @@ class TestTermBudget:
         # for 0.2-4.3 s
         (lambda: oracle_moment(0.0, 1e-5, 64), ConvergenceError),
         (lambda: intercept(1e-5, 1e-5, 5), ConvergenceError),
-        (lambda: pq_oracle_moment(PQParams(0.5, 0.5), 1e-5, 2), ConvergenceError),
+        (lambda: pq_oracle_moment(PQParams(1.0, 1.0), 1e-5, 2), ConvergenceError),
         # loops of a length the caller sets, which no budget bounded: hours, or memory
         (lambda: pq_bracket(10**11, PQParams(0.5, 0.5)), DomainError),
         (lambda: c_coeff(3, 10**10, 1.0), DomainError),
@@ -777,8 +778,8 @@ class TestTermBudget:
                 return
         assert isinstance(res, CorrelationResult)
 
-    #: no alpha lies in (1e-8, 1e-4), where the p,q oracle's sum can run out
-    #: its whole 2^21-term budget before it fails, most of a second of work
+    #: no alpha lies in (1e-8, 1e-4), where the p,q oracle's sum at p = 1 can run
+    #: out its whole 2^21-term budget before it fails, most of a second of work
     FUZZ_ALPHAS = (5e-324, 1e-300, 1e-12, 1e-9, 1e-3, 1.0, 700.0, 1e300, 1.7e308)
     FUZZ_PQ = ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5), (0.9, 1e-300))
 

@@ -7,6 +7,8 @@ of the pure-Python backend before it summed whole curves; ``_lerch_loop``,
 driver, ``_power_loop`` with the stop at the tail tolerance that
 ``power_sum`` gained later.  The kernels must reproduce them bit for bit,
 value, bound and term count; the curve kernels return them as arrays.
+``TestTableCaches`` checks that the cached tables of the z -> 1 expansion
+give the same bytes cold, warm and extended.
 """
 
 import math
@@ -152,7 +154,8 @@ def _pq_oracle_loop(p, q, alpha, r, rtol, atol, max_terms):
     p_ld = _LD(p)
     q_ld = _LD(q)
     z = np.exp(-_LD(alpha))
-    gap = _ONE - z
+    decay = p_ld**r  # the product of r basic numbers is at most n^r decay^(n-r)
+    gap = -np.expm1(-_LD(alpha)) if decay < _ONE else _ONE - z
     s_pq = p_ld + q_ld
     prod_pq = p_ld * q_ld
 
@@ -179,12 +182,12 @@ def _pq_oracle_loop(p, q, alpha, r, rtol, atol, max_terms):
         rho = _ONE
         for _ in range(r):
             rho *= _LD(n + 2) / _LD(n + 1)
-        rho *= z
+        rho *= z * decay
         if rho < _ONE:
             bound = _ONE
             for _ in range(r):
                 bound *= _LD(n + 1)
-            tail = bound * zn / (_ONE - rho)
+            tail = bound * (zn * decay ** _LD(n + 1 - r)) / (_ONE - rho)
         else:
             tail = _LD(np.inf)
         n += 1
@@ -428,6 +431,16 @@ class TestPQOracleSum:
                 want = _pq_oracle_loop(p, q, alpha, r, 1e-13, 0.0, 10**8)
                 assert kp.pq_oracle_sum(p, q, alpha, r, 1e-13, 0.0, 10**8) == want
 
+    @pytest.mark.parametrize("p, q", PQ_PAIRS[1:])
+    def test_matches_loop_as_alpha_vanishes(self, p, q):
+        # p < 1: the products decay like p^(r n), so the sum stops in a few dozen
+        # terms however small alpha is, and 1 - z is formed as -expm1(-alpha)
+        for r in (1, 3):
+            for alpha in (1e-5, 1e-9, 1e-300, 5e-324):
+                want = _pq_oracle_loop(p, q, alpha, r, 1e-13, 0.0, 10**8)
+                assert want[2] < 1000 and want[0] > 0.0
+                assert kp.pq_oracle_sum(p, q, alpha, r, 1e-13, 0.0, 10**8) == want
+
     @pytest.mark.parametrize("short", [1, 5, 16, 37])
     def test_exhausted_budget(self, short):
         # as for the Lerch sum: `short` terms short of the sum the kernel matches the
@@ -443,9 +456,81 @@ class TestPQOracleSum:
         want = _pq_oracle_loop(0.9, 0.7, 0.2, 2, 1e-15, 1e-6, 10**8)
         assert kp.pq_oracle_sum(0.9, 0.7, 0.2, 2, 1e-15, 1e-6, 10**8) == want
 
-    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (0.9, 0.7)])
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (1.0, 0.7)])
     def test_longer_than_a_block(self, p, q):
-        # thousands of terms: the recurrence carries across blocks
+        # thousands of terms at p = 1, where the products do not decay: the
+        # recurrence carries across blocks
         want = _pq_oracle_loop(p, q, 7.5e-3, 3, 1e-13, 0.0, 10**8)
         assert want[2] > kp._BLOCK_CELLS
         assert kp.pq_oracle_sum(p, q, 7.5e-3, 3, 1e-13, 0.0, 10**8) == want
+
+
+class TestTableCaches:
+    """The alpha-independent tables of the z -> 1 expansion, built once per (mu, r) or shift.
+
+    One table serves every alpha of the closed-form route, and a larger
+    alpha keys a longer one; cold, warm, or after a longer table, every
+    result is the same to the byte.
+    """
+
+    @staticmethod
+    def _results(mu, r, alphas):
+        expansion = kp.closed_moment_expansion(mu, alphas, r)
+        lerch = [kp.lerch_expansion(math.exp(-alpha), 1.0 / mu) for alpha in alphas]
+        return b"".join(x.tobytes() for x in expansion) + repr(lerch).encode()
+
+    @staticmethod
+    def _clear():
+        kp._expansion_table.cache_clear()
+        kp._lerch_table.cache_clear()
+
+    @pytest.mark.parametrize("mu", [1e-3, 0.012, 0.1, 0.2, 0.8, 1.7])
+    def test_cold_warm_and_extended_tables_agree(self, mu):
+        for r in (1, 2, 3, 5, 8, 16):
+            reach = 0.5 / (1.0 / mu + r)
+            # the largest alpha sets how many rows a call needs; the last set lies
+            # beyond the route's reach, where a longer table is built
+            sets = ([reach * 1e-4, reach * 1e-2], [reach * 0.3], [reach, reach * 1e-6],
+                    [reach * 4.0])
+            cold = []
+            for alphas in sets:
+                self._clear()
+                cold.append(self._results(mu, r, alphas))
+            self._clear()
+            for _ in range(2):  # filled in order, then warm
+                assert [self._results(mu, r, alphas) for alphas in sets] == cold, r
+            self._clear()
+            for _ in range(2):  # the longer table first, then warm
+                assert [self._results(mu, r, alphas) for alphas in sets[::-1]] == cold[::-1], r
+            # a longer table has the same leading rows (compared as values: tobytes()
+            # of a long double also holds its padding bytes)
+            short = kp._expansion_table(mu, r, (r - 1) * reach)[2]
+            long = kp._expansion_table(mu, r, (r - 1) * reach * 4.0)[2]
+            assert np.array_equal(long[:, :short.shape[1]], short)
+            assert r == 1 or long.shape[1] > short.shape[1]
+
+    def test_cached_arrays_are_read_only(self):
+        kp.closed_moment_expansion(0.1, [3.0], 3)  # beyond the reach: (r-1) alpha = 6
+        _, scalars, rows = kp._expansion_table(0.1, 3, 6.0)
+        assert kp._expansion_table.cache_info().hits > 0
+        for values in (scalars, rows, *kp._lerch_table(scalars[2])[1:5]):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+
+    def test_caches_are_bounded(self):
+        for j in range(kp.TABLE_CACHE + 9):
+            kp.closed_moment_expansion(0.1 + j / 64.0, [1e-4], 2)
+        assert kp._expansion_table.cache_info().currsize <= kp.TABLE_CACHE
+        assert kp._lerch_table.cache_info().currsize <= kp.TABLE_CACHE
+
+    def test_r3_function_builds_the_mean_table_once(self):
+        from mubose import r3_function
+
+        self._clear()
+        r3_function(0.1, 1.3e-3)
+        # the mean (r = 1) of lambda2 and of lambda3, then r = 2 and r = 3: one shift 1/mu
+        info = kp._expansion_table.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
+        info = kp._lerch_table.cache_info()
+        assert (info.misses, info.hits) == (1, 3)

@@ -2,10 +2,12 @@
 
 import math
 import sys
+import time
 
 import pytest
 
 from mubose import (
+    ConvergenceError,
     DomainError,
     PQParams,
     mu_vs_pq_asymptotic_gap,
@@ -16,6 +18,8 @@ from mubose import (
     pq_moment,
     pq_oracle_moment,
 )
+from mubose._backend import kernels
+from mubose.errors import DEFAULT_TOL, MAX_TERMS
 
 LN2 = math.log(2.0)
 
@@ -239,6 +243,69 @@ class TestInterceptBound:
         for alpha in (5e-324, 1e-300, 1.3957e-80, 1.0):
             for r in (2, 3, 5):
                 assert pq_intercept_result(PQParams(1.0, 1.0), alpha, r).value == math.factorial(r) - 1
+
+
+def _moment_reference(p, q, alpha, r):
+    """The p,q moment [r]! (1-z) z^r / prod_j (1 - p^j q^(r-j) z) at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        p, q, a = mp.mpf(p), mp.mpf(q), mp.mpf(alpha)
+
+        def one_minus(c):
+            # 1 - c z as -expm1(ln c - alpha): below alpha ~ 1e-60, z rounds to 1
+            return -mp.expm1(mp.log(c) - a)
+
+        want = mp.exp(-r * a) * one_minus(1)
+        for n in range(1, r + 1):
+            want *= sum(p**j * q ** (n - 1 - j) for j in range(n))
+        for j in range(r + 1):
+            want /= one_minus(p**j * q ** (r - j))
+        return want
+
+
+class TestOracleBound:
+    """pq_oracle_moment against the closed form at 60 digits, down to the smallest alpha.
+
+    For p < 1 the product of r basic numbers decays like p^(r n), so the
+    sum stops within a number of terms that does not grow as alpha -> 0.
+    """
+
+    @staticmethod
+    def _check(p, q, alpha, r):
+        start = time.process_time()
+        try:
+            res = pq_oracle_moment(PQParams(p, q), alpha, r)
+        except (DomainError, ConvergenceError):
+            return None, time.process_time() - start
+        spent = time.process_time() - start
+        err = abs(res.value - _moment_reference(p, q, alpha, r))
+        assert err <= res.error_bound, (p, q, alpha, r, res, float(err))
+        return res, spent
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.67, 0.9, 0.99, 1.0])
+    def test_bound_holds_on_grid(self, p):
+        for q in (p, p / 2):
+            for r in (1, 2, 3, 5):
+                for alpha in (5e-324, 1e-300, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 7.5e-3, 0.05,
+                              1.0, 40.0):
+                    res, spent = self._check(p, q, alpha, r)
+                    if p < 1.0:
+                        assert res is not None, (p, q, alpha, r)
+                        # CPU time of this process, which the load of others does not inflate
+                        assert spent < 0.1, (p, q, alpha, r, spent)
+
+    @pytest.mark.parametrize("alpha", [1e-5, 1e-9, 5e-324])
+    def test_small_alpha_returns_a_value(self, alpha):
+        # these calls raised ConvergenceError while the tail bound n^r z^n ignored p
+        res, spent = self._check(0.5, 0.5, alpha, 2)
+        assert res is not None and spent < 0.1
+
+    def test_tiny_p_sums_a_few_terms(self):
+        # the first term fixes the value: [n] <= n p^(n-1) at p = 1e-300
+        _, _, used = kernels.pq_oracle_sum(1e-300, 1e-300, 1e-3, 2, DEFAULT_TOL, math.ulp(0.0),
+                                           MAX_TERMS)
+        assert used <= 3
+        self._check(1e-300, 1e-300, 1e-3, 2)
 
 
 class TestAsymptotic:
